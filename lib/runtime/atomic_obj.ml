@@ -67,15 +67,15 @@ module Make (A : Spec.Adt_sig.S) = struct
   let m_aborts = Obs.Metrics.counter "obj.aborts"
   let m_forgotten = Obs.Metrics.counter "obj.forgotten"
 
-  (* The machine is an atomic reference to an immutable value: the
-     uncontended path publishes a transition with one compare-and-swap
-     and never touches the mutex.  The mutex survives as the slow path's
-     serializer — for contenders that just lost a CAS, and for every
-     configuration whose side effects must stay in machine order (trace
-     emission, WAL appends, event recording).  Even under the mutex the
-     machine field itself is only ever updated by CAS ([transition]), so
-     the two paths compose: a fast-path publish racing a slow-path
-     holder costs the holder one CAS retry, never a lost update.
+  (* The machine is an atomic reference to an immutable value, and every
+     update of it is one compare-and-swap publish in [transition].  The
+     mutex orders side effects, not the machine: an update whose trace
+     emission, WAL appends or event recording must appear in machine
+     order runs under it ([section]), and an unordered invocation that
+     loses its CAS retries under it instead of spinning.  Even under the
+     mutex the machine field is only ever updated by CAS, so a lock-free
+     publish racing a mutex holder costs the holder one recompute, never
+     a lost update.
      CAS on the machine is ABA-free: every transition allocates a fresh
      immutable value, and OCaml's compare-and-set is physical equality
      on pointers that cannot be recycled while m0 is still reachable. *)
@@ -98,7 +98,7 @@ module Make (A : Spec.Adt_sig.S) = struct
     (* Payload intern tables: trace entries carry invocations, responses
        and (for refusal attribution) whole operations as small codes
        assigned in order of first appearance.  Mutated only under the
-       mutex; the fast path is one hashtable probe, and a payload's
+       mutex; a repeat payload is one hashtable probe, and a payload's
        first occurrence also registers the human-readable label with
        the process-wide [Obs.Attrib] registry so reports and timeline
        exports can decode the codes after this object is gone. *)
@@ -167,20 +167,20 @@ module Make (A : Spec.Adt_sig.S) = struct
 
   let tracing t = Option.is_some t.trace || Obs.Control.enabled ()
 
-  (* The mutex-free invocation path is sound only when an invocation has
-     no per-object side effects beyond the machine CAS itself: no trace
-     emission, no WAL append, no event recording, and Lockstat's forced
-     slow mode off.  [trace]/[wal]/[record] are fixed at creation; the
-     global trace switch and forced-slow flag are dynamic, so a toggle
-     mid-run routes new invocations back through the mutex (in-flight
-     fast-path CAS publishes stay linearizable either way — see
+  (* An update is [ordered] when it has per-object side effects beyond
+     the machine CAS — trace emission, WAL append, event recording — or
+     when Lockstat's forced-mutex baseline is on.  [trace]/[wal]/[record]
+     are fixed at creation; the global trace switch and the forced mode
+     are dynamic, so a toggle mid-run routes new updates the other way
+     (in-flight publishes stay linearizable either way — see
      [transition]). *)
-  let fast_path t =
-    Option.is_none t.wal
-    && (not t.record)
-    && Option.is_none t.trace
-    && (not (Obs.Control.enabled ()))
-    && not (Lockstat.force_slow ())
+  let ordered t =
+    Option.is_some t.wal || t.record || tracing t || Lockstat.force_slow ()
+
+  (* The one body of every update: [f ordered] runs under the mutex
+     exactly when [ordered] holds, and performs its side effects only
+     then, so the object's trace/log/history stays in machine order. *)
+  let section t f = if ordered t then with_lock t (fun () -> f true) else f false
 
   let emit t ~txn ev =
     match t.trace with
@@ -309,101 +309,84 @@ module Make (A : Spec.Adt_sig.S) = struct
 
   let push_event t e = if t.record then t.events <- e :: t.events
 
-  (* Every machine update — fast path or slow — lands through this CAS
-     loop.  [f] must be pure in the machine: compute the successor and
-     an outcome, no side effects (those belong after the transition
-     lands, under the mutex if they must stay in machine order).  The
-     pure machine is immutable, so a failed CAS just recomputes against
-     the fresher value; physical equality short-circuits no-op
-     transitions. *)
-  let rec transition t f =
+  (* Every machine update lands through this function.  [f] must be
+     pure in the machine: compute the successor and an outcome, no side
+     effects.  Physical equality short-circuits no-op transitions; a
+     lost CAS recomputes against the fresher value, spinning when
+     [spin] holds and otherwise retrying under the mutex.  [ordered] is
+     the caller's [section] flag.  An unordered invoke-and-choose
+     passes [~spin:false]: its step rebuilds a whole view, and a lost
+     CAS means real contention on this object, so losers queue.
+     Commit, abort, pin and unpin spin: their steps are cheap, and they
+     release the locks and horizon bounds the queued invokers wait for —
+     parking them behind the mutex too made the 8-domain shared hotpath
+     bench ten times slower on 2 cores.
+
+     The published pair then reports its own fold.  [Compacted.step]
+     folds on Invoke, Respond, Commit and Abort alike (and unpin folds
+     too), and Theorem 24 says the forgotten prefix only grows, so
+     [forgotten m1 - forgotten m0] is exactly the fold this CAS made:
+     it goes to the [obj.forgotten] counter, and for an [ordered]
+     update to the [Horizon_advanced]/[Forgotten] trace pair
+     ([Forgotten] carries the cumulative count, so monotonicity is
+     visible in the event stream).  With a WAL attached, the same fold
+     is the checkpoint trigger: the horizon is permanent, so the folded
+     version at the new horizon timestamp is a sound recovery base, and
+     every log record of a transaction whose every touched object has
+     checkpointed at or past its timestamp becomes dead weight the log
+     compactor may drop. *)
+  let rec transition t ~spin ~ordered ~txn f =
     let m0 = Atomic.get t.machine in
     let m1, out = f m0 in
-    if m1 == m0 || Atomic.compare_and_set t.machine m0 m1 then out
+    if m1 != m0 && not (Atomic.compare_and_set t.machine m0 m1) then
+      if spin then begin
+        Domain.cpu_relax ();
+        transition t ~spin ~ordered ~txn f
+      end
+      else with_lock t (fun () -> transition t ~spin:true ~ordered ~txn f)
     else begin
-      Domain.cpu_relax ();
-      transition t f
+      let forgotten = C.forgotten m1 in
+      if forgotten > C.forgotten m0 then begin
+        Obs.Metrics.add m_forgotten (forgotten - C.forgotten m0);
+        match (ordered, C.folded_upto m1) with
+        | true, Hybrid.Xts.Fin upto -> (
+          emit t ~txn (Obs.Trace.Horizon_advanced upto);
+          emit t ~txn (Obs.Trace.Forgotten forgotten);
+          match t.wal with
+          | Some (w, codec) ->
+            let payload = Wal.Codec.encode_states codec (C.version_states m1) in
+            Wal.Log.append w
+              (Wal.Log.Checkpoint { obj = t.name; upto; payload; cell = t.cell })
+          | None -> ())
+        | _ -> ()
+      end;
+      out
     end
 
   (* The pure machine never refuses invoke/commit/abort events. *)
-  let apply_input t event =
-    transition t (fun m ->
-        match C.step m event with Ok m' -> (m', ()) | Error _ -> assert false);
-    push_event t event
+  let accept m event = match C.step m event with Ok m' -> m' | Error _ -> assert false
 
-  (* Any accepted event (and an unpin) may advance the horizon and fold
-     committed transactions into the version; diff the compaction
-     summary around the transition and report the fold as trace events.
-     [Forgotten] carries the cumulative fold count, so Theorem 24's
-     monotonicity is directly visible in the event stream.
-
-     With a WAL attached, the same fold is the checkpoint trigger: the
-     horizon is permanent (Theorem 24), so the folded version at the new
-     horizon timestamp is a sound recovery base, and every log record of
-     a transaction whose every touched object has checkpointed at or
-     past its timestamp becomes dead weight the log compactor may
-     drop. *)
-  let with_fold_events t ~txn f =
-    if (not (tracing t)) && Option.is_none t.wal then f ()
-    else begin
-      let before = C.summary (Atomic.get t.machine) in
-      f ();
-      let after = C.summary (Atomic.get t.machine) in
-      if after.C.s_forgotten > before.C.s_forgotten then begin
-        if tracing t then begin
-          (match after.C.s_folded_upto with
-          | Hybrid.Xts.Fin ts -> emit t ~txn (Obs.Trace.Horizon_advanced ts)
-          | Hybrid.Xts.Neg_inf -> ());
-          emit t ~txn (Obs.Trace.Forgotten after.C.s_forgotten)
-        end;
-        Obs.Metrics.add m_forgotten (after.C.s_forgotten - before.C.s_forgotten);
-        match (t.wal, after.C.s_folded_upto) with
-        | Some (w, codec), Hybrid.Xts.Fin upto ->
-          let payload =
-            Wal.Codec.encode_states codec (C.version_states (Atomic.get t.machine))
-          in
-          Wal.Log.append w (Wal.Log.Checkpoint { obj = t.name; upto; payload; cell = t.cell })
-        | _ -> ()
-      end
-    end
+  (* Commit and abort share one body.  Either releases this
+     transaction's locks, so parked waiters go back to the retry
+     scheduler — after the publish, so a woken waiter's re-attempt
+     observes the release. *)
+  let complete t ~txn event trace_event count metric =
+    section t (fun ordered ->
+        if ordered then emit t ~txn trace_event;
+        transition t ~spin:true ~ordered ~txn (fun m -> (accept m event, ()));
+        push_event t event;
+        Atomic.incr count;
+        Obs.Metrics.incr metric);
+    Sched.notify ~obj:t.key
 
   let participant t txn : Txn_rt.participant =
     let q = Txn_rt.model_txn txn in
-    let qid = Txn_rt.id txn in
+    let txn = Txn_rt.id txn in
     {
       Txn_rt.name = t.name;
       on_commit =
-        (fun ts ->
-          (if fast_path t then begin
-             apply_input t (H.Commit (q, ts));
-             Atomic.incr t.commits;
-             Obs.Metrics.incr m_commits
-           end
-           else
-             with_lock t (fun () ->
-                 emit t ~txn:qid (Obs.Trace.Commit ts);
-                 with_fold_events t ~txn:qid (fun () -> apply_input t (H.Commit (q, ts)));
-                 Atomic.incr t.commits;
-                 Obs.Metrics.incr m_commits));
-          (* The commit released this transaction's locks here: hand any
-             parked waiters back to the retry scheduler.  After the
-             machine publish (CAS or mutex release), so a woken waiter's
-             re-attempt observes the release. *)
-          Sched.notify ~obj:t.key);
-      on_abort =
-        (fun () ->
-          (if fast_path t then begin
-             apply_input t (H.Abort q);
-             Atomic.incr t.aborts;
-             Obs.Metrics.incr m_aborts
-           end
-           else
-             with_lock t (fun () ->
-                 emit t ~txn:qid Obs.Trace.Abort;
-                 with_fold_events t ~txn:qid (fun () -> apply_input t (H.Abort q));
-                 Atomic.incr t.aborts;
-                 Obs.Metrics.incr m_aborts));
-          Sched.notify ~obj:t.key);
+        (fun ts -> complete t ~txn (H.Commit (q, ts)) (Obs.Trace.Commit ts) t.commits m_commits);
+      on_abort = (fun () -> complete t ~txn (H.Abort q) Obs.Trace.Abort t.aborts m_aborts);
     }
 
   (* The wait-die priority travels with the refusal: resolve the
@@ -429,74 +412,39 @@ module Make (A : Spec.Adt_sig.S) = struct
     | `Committed _ -> invalid_arg "Atomic_obj.try_invoke: transaction already committed");
     let q = Txn_rt.model_txn txn in
     let qid = Txn_rt.id txn in
-    (* Uncontended fast path: read the machine once, run the pure
-       invoke-and-choose against that snapshot, publish with a single
-       CAS.  A lost CAS means real contention on this object — fall
-       through to the mutex rather than spin (the slow path also
-       serializes the conflict bookkeeping that usually follows).  A
-       refusal publishes the pending invocation (the machine's timestamp
-       lower bound for this transaction) the same way, but a lost CAS
-       there just leaves it to the next retry. *)
-    let fast =
-      if fast_path t then begin
-        let m0 = Atomic.get t.machine in
-        let m1 =
-          match C.pending m0 q with
-          | Some i' when A.equal_inv i i' -> m0
-          | Some _ | None -> (
-            match C.step m0 (H.Invoke (q, i)) with
-            | Ok m -> m
-            | Error _ -> assert false)
-        in
-        match C.choose_response m1 q with
-        | Ok (r, m2) ->
-          if Atomic.compare_and_set t.machine m0 m2 then begin
+    let result =
+      section t (fun ordered ->
+          (* Invoke and choose against one snapshot, published by one
+             CAS.  A refused attempt leaves the invocation pending (the
+             paper retries the response, not the invocation), so only a
+             fresh invocation steps the machine; a refusal still
+             publishes that step — the pending invocation carries the
+             machine's timestamp lower bound for this transaction. *)
+          let fresh, chosen =
+            transition t ~spin:ordered ~ordered ~txn:qid (fun m0 ->
+                let fresh =
+                  match C.pending m0 q with Some i' -> not (A.equal_inv i i') | None -> true
+                in
+                let m1 = if fresh then accept m0 (H.Invoke (q, i)) else m0 in
+                match C.choose_response m1 q with
+                | Ok (r, m2) -> (m2, (fresh, Ok r))
+                | Error e -> (m1, (fresh, Error e)))
+          in
+          if fresh && ordered then begin
+            emit t ~txn:qid (Obs.Trace.Invoke (encode_inv t i));
+            push_event t (H.Invoke (q, i))
+          end;
+          match chosen with
+          | Ok r ->
             Atomic.incr t.invocations;
             Obs.Metrics.incr m_invocations;
-            Some (Ok r)
-          end
-          else None
-        | Error `Blocked ->
-          ignore (m1 == m0 || Atomic.compare_and_set t.machine m0 m1 : bool);
-          Atomic.incr t.blocked;
-          Obs.Metrics.incr m_blocked;
-          Some (Error `Blocked)
-        | Error (`Conflict info) ->
-          ignore (m1 == m0 || Atomic.compare_and_set t.machine m0 m1 : bool);
-          Atomic.incr t.conflicts;
-          Obs.Metrics.incr m_conflicts;
-          Some (Error (`Conflict (capture_conflict info)))
-      end
-      else None
-    in
-    let result =
-      match fast with
-      | Some r -> r
-      | None ->
-        with_lock t (fun () ->
-            (* A refused attempt leaves the invocation pending (the paper
-               retries the response, not the invocation), so only record a
-               fresh invoke event when none is pending. *)
-            (match C.pending (Atomic.get t.machine) q with
-            | Some i' when A.equal_inv i i' -> ()
-            | Some _ | None ->
-              emit t ~txn:qid (Obs.Trace.Invoke (encode_inv t i));
-              with_fold_events t ~txn:qid (fun () -> apply_input t (H.Invoke (q, i))));
-            let chosen =
-              transition t (fun m ->
-                  match C.choose_response m q with
-                  | Ok (r, m') -> (m', Ok r)
-                  | Error e -> (m, Error e))
-            in
-            match chosen with
-            | Ok r ->
-              Atomic.incr t.invocations;
-              Obs.Metrics.incr m_invocations;
+            if ordered then begin
               (* Write-ahead intention: the operation joins the
-                 transaction's intentions list in the log the moment it is
-                 chosen, under the object mutex — so intentions for one
-                 object appear in the log in execution order, and a commit
-                 record can only follow every intention it covers. *)
+                 transaction's intentions list in the log the moment it
+                 is chosen, under the object mutex — so intentions for
+                 one object appear in the log in execution order, and a
+                 commit record can only follow every intention it
+                 covers. *)
               (match t.wal with
               | Some (w, codec) ->
                 Wal.Log.append w
@@ -510,31 +458,28 @@ module Make (A : Spec.Adt_sig.S) = struct
               | None -> ());
               push_event t (H.Respond (q, r));
               emit t ~txn:qid (Obs.Trace.Respond (encode_res t r));
-              emit t ~txn:qid Obs.Trace.Lock_granted;
-              Ok r
-            | Error `Blocked ->
-              Atomic.incr t.blocked;
-              Obs.Metrics.incr m_blocked;
-              emit t ~txn:qid Obs.Trace.Blocked;
-              Error `Blocked
-            | Error (`Conflict info) ->
-              let conflict = capture_conflict info in
-              Atomic.incr t.conflicts;
-              Obs.Metrics.incr m_conflicts;
-              (if tracing t then
-                 let requested, held =
-                   match info with
-                   | Some ci -> (encode_op t ci.C.c_requested, encode_op t ci.C.c_held)
-                   | None -> (Obs.Trace.no_op, Obs.Trace.no_op)
-                 in
-                 emit t ~txn:qid
-                   (Obs.Trace.Lock_refused
-                      {
-                        holder = Option.map (fun c -> c.Retry.holder) conflict;
-                        requested;
-                        held;
-                      }));
-              Error (`Conflict conflict))
+              emit t ~txn:qid Obs.Trace.Lock_granted
+            end;
+            Ok r
+          | Error `Blocked ->
+            Atomic.incr t.blocked;
+            Obs.Metrics.incr m_blocked;
+            if ordered then emit t ~txn:qid Obs.Trace.Blocked;
+            Error `Blocked
+          | Error (`Conflict info) ->
+            let conflict = capture_conflict info in
+            Atomic.incr t.conflicts;
+            Obs.Metrics.incr m_conflicts;
+            (if ordered && tracing t then
+               let requested, held =
+                 match info with
+                 | Some ci -> (encode_op t ci.C.c_requested, encode_op t ci.C.c_held)
+                 | None -> (Obs.Trace.no_op, Obs.Trace.no_op)
+               in
+               emit t ~txn:qid
+                 (Obs.Trace.Lock_refused
+                    { holder = Option.map (fun c -> c.Retry.holder) conflict; requested; held }));
+            Error (`Conflict conflict))
     in
     (* Register even after a refusal: the machine now tracks a pending
        invocation and a timestamp lower bound for this transaction, and
@@ -548,20 +493,17 @@ module Make (A : Spec.Adt_sig.S) = struct
     (* Per-op flight records only at the detail tier: two extra clock
        reads per invocation would eat the always-on recorder's < 5%
        throughput budget. *)
-    if not (Obs.Span.detailed ()) then
+    let detailed = Obs.Span.detailed () in
+    let t0 = if detailed then Obs.Clock.now_ns () else 0 in
+    let r =
       Retry.run ?retries ~on_retry ~obj:t.key ~name:t.name ~self:txn (fun () ->
           try_invoke t txn i)
-    else begin
-      let t0 = Obs.Clock.now_ns () in
-      let r =
-        Retry.run ?retries ~on_retry ~obj:t.key ~name:t.name ~self:txn (fun () ->
-            try_invoke t txn i)
-      in
+    in
+    if detailed then begin
       let inv = with_lock t (fun () -> encode_inv t i) in
-      Obs.Span.op ~txn:(Txn_rt.id txn) ~obj:t.key ~inv
-        ~dur_ns:(Obs.Clock.now_ns () - t0);
-      r
-    end
+      Obs.Span.op ~txn:(Txn_rt.id txn) ~obj:t.key ~inv ~dur_ns:(Obs.Clock.now_ns () - t0)
+    end;
+    r
 
   (* ---- reads: one [Atomic.get] yields a consistent immutable machine,
      so none of these contend with writers ---- *)
@@ -614,15 +556,18 @@ module Make (A : Spec.Adt_sig.S) = struct
   let snapshot_source t =
     {
       Snapshot.source_name = t.name;
-      (* Pinning is a pure transition (no fold can result), so readers
-         never take the mutex on entry; unpin can fold — checkpoint and
-         trace side effects keep it on the mutex. *)
-      pin = (fun reader at -> transition t (fun m -> (C.pin m reader at, ())));
+      (* Pinning only adds a lower bound, so it never folds and needs
+         no ordering; unpin can fold, and its checkpoint and trace
+         side effects make it an ordered update like any other. *)
+      pin =
+        (fun reader at ->
+          transition t ~spin:true ~ordered:false ~txn:(Model.Txn.id reader) (fun m ->
+              (C.pin m reader at, ())));
       unpin =
         (fun reader ->
-          with_lock t (fun () ->
-              with_fold_events t ~txn:(Model.Txn.id reader) (fun () ->
-                  transition t (fun m -> (C.unpin m reader, ())))));
+          section t (fun ordered ->
+              transition t ~spin:true ~ordered ~txn:(Model.Txn.id reader) (fun m ->
+                  (C.unpin m reader, ()))));
     }
 
   let read_at t ~at i =

@@ -1,7 +1,11 @@
 (** A concurrent atomic object running the hybrid locking protocol.
 
-    This is the production engine: the {!Hybrid.Compacted} machine
-    behind a mutex, usable from multiple domains/threads.  Per the paper
+    This is the production engine: the {!Hybrid.Compacted} machine in an
+    atomic reference, usable from multiple domains/threads.  Every update
+    is one compare-and-swap publish, which also reports any horizon fold
+    it made (counter, trace events, WAL checkpoint); the object mutex
+    only keeps side effects — trace, WAL, recorded history — in machine
+    order, and queues invocations that lost their CAS.  Per the paper
     (Section 4.1): an invocation builds the transaction's view (committed
     version, plus committed-but-unforgotten intentions in timestamp
     order, plus the transaction's own intentions), chooses a response

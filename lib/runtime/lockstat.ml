@@ -1,11 +1,11 @@
-(* Slow-path accounting for the lock-free hot path.
+(* Mutex-acquisition accounting for the lock-free hot path.
 
    The hot-path rework (atomic timestamp allocation, CAS lock machine,
    lock-free priority registry) claims the no-conflict transaction path
    takes no mutex at all.  That claim is only checkable if every mutex
-   acquisition that remains — Atomic_obj's conflict/trace/WAL slow path,
-   Manager's WAL-ordering section and inflight overflow, Txn_rt's
-   registry overflow — counts itself here.  The bench gate
+   acquisition that remains — Atomic_obj's ordered (trace/WAL/record)
+   sections and lost-CAS retries, Manager's WAL-ordering section and
+   inflight overflow, Txn_rt's registry overflow — counts itself here.  The bench gate
    (`--hotpath-only`) then asserts the delta across a no-conflict
    WAL-off workload is exactly zero.
 
@@ -42,7 +42,7 @@ let total s = s.s_obj + s.s_mgr + s.s_registry
 
 (* Baseline mode for apples-to-apples measurement: when set, the
    runtime routes every operation through the pre-rework mutex paths
-   (Atomic_obj skips its CAS fast path, Manager serializes draws behind
+   (Atomic_obj runs every update under its mutex, Manager serializes draws behind
    a mutex even without a WAL).  The hotpath bench reports the ratio
    fast/forced-slow as the speedup attributable to lock elision alone,
    on identical hardware in the same process. *)

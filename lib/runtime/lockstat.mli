@@ -1,7 +1,8 @@
 (** Mutex-acquisition accounting for the lock-free hot path.
 
     Every remaining mutex acquisition in the runtime's transaction path
-    self-reports here ({!count_obj} in {!Atomic_obj}'s slow path,
+    self-reports here ({!count_obj} in {!Atomic_obj}'s ordered sections
+    and lost-CAS retries,
     {!count_mgr} in {!Manager}'s WAL/overflow sections, {!count_registry}
     in {!Txn_rt}'s registry overflow), so the bench gate can assert that
     a no-conflict WAL-off workload takes {e zero} mutexes end to end.
@@ -20,7 +21,7 @@ val total : snapshot -> int
 
 val set_force_slow : bool -> unit
 (** Baseline mode: route all operations through the pre-rework mutex
-    paths ({!Atomic_obj} skips its CAS fast path; {!Manager} serializes
+    paths ({!Atomic_obj} runs every update under its mutex; {!Manager} serializes
     draws behind a mutex even WAL-off).  For same-process before/after
     comparison in the hotpath bench; not for production use. *)
 

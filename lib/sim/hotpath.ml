@@ -12,8 +12,8 @@
      failure.
    - [`Shared]: all domains increment one counter.  Inc/Inc never
      conflicts under the hybrid relation, so every attempt still
-     commits, but concurrent CAS publishes can race; losers take the
-     mutex slow path by design, so this shape reports (not asserts) its
+     commits, but concurrent CAS publishes can race; losers retry under
+     the object mutex by design, so this shape reports (not asserts) its
      lock counts.
 
    [force_slow] replays the same workload through the pre-rework mutex

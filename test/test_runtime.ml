@@ -330,6 +330,71 @@ let test_wait_die_resolves_deadlock () =
   let s = Runtime.Manager.stats mgr in
   check_int "both committed" 2 s.Runtime.Manager.committed
 
+(* ---------------- fold reports ---------------- *)
+
+(* A fold published by a Respond is reported like any other.  T1's
+   refused Debit stays pending with the lower bound it had before T2
+   committed, so the horizon holds below T2's timestamp; T1's retried
+   response raises that bound to the clock and folds T2 in the same
+   publish.  With a WAL attached, the fold appends T2's checkpoint, and
+   the closed log recovers the committed balance. *)
+let respond_fold ~durable () =
+  let was_enabled = Obs.Control.enabled () in
+  let path = Filename.temp_file "hybrid-cc-fold" ".wal" in
+  Obs.Control.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Control.set_enabled was_enabled;
+      Sys.remove path)
+  @@ fun () ->
+  let wal = if durable then Some (Wal.Log.create ~fsync:false path) else None in
+  let tr = Obs.Trace.create ~capacity:1024 () in
+  let mgr = Runtime.Manager.create ?wal () in
+  let acc =
+    AObj.create ~trace:tr
+      ?wal:(Option.map (fun w -> (w, A.codec)) wal)
+      ~conflict:A.conflict_hybrid ()
+  in
+  let forgotten_metric () =
+    Option.value ~default:0 (List.assoc_opt "obj.forgotten" (Obs.Metrics.counters ()))
+  in
+  let metric_before = forgotten_metric () in
+  let t1 = Runtime.Txn_rt.fresh () in
+  let t2 = Runtime.Txn_rt.fresh () in
+  check_bool "T2 credit granted" true (AObj.try_invoke acc t2 (A.Credit 5) = Ok A.Ok);
+  (match AObj.try_invoke acc t1 (A.Debit 2) with
+  | Error (`Conflict _) -> ()
+  | _ -> Alcotest.fail "T1's debit must conflict with T2's uncommitted credit");
+  let ts2 = Runtime.Manager.commit_txn mgr t2 in
+  check_int "T1's pending bound holds T2 unfolded" 0 (AObj.stats acc).AObj.forgotten;
+  check_bool "T1's retried debit granted" true (AObj.try_invoke acc t1 (A.Debit 2) = Ok A.Ok);
+  let folds =
+    List.filter_map
+      (fun e ->
+        match e.Obs.Trace.event with
+        | (Obs.Trace.Horizon_advanced _ | Obs.Trace.Forgotten _) as ev
+          when e.Obs.Trace.obj = AObj.key acc ->
+          Some ev
+        | _ -> None)
+      (Obs.Trace.entries tr)
+  in
+  check_bool "one Horizon_advanced/Forgotten pair for T2" true
+    (folds = [ Obs.Trace.Horizon_advanced ts2; Obs.Trace.Forgotten 1 ]);
+  check_int "stats.forgotten" 1 (AObj.stats acc).AObj.forgotten;
+  check_int "metric obj.forgotten delta" 1 (forgotten_metric () - metric_before);
+  match wal with
+  | None -> ()
+  | Some w -> (
+    check_bool "checkpoint appended at T2's timestamp" true
+      (Wal.Log.checkpoint_upto w (AObj.name acc) = Some ts2);
+    ignore (Runtime.Manager.commit_txn mgr t1 : int);
+    Wal.Log.close w;
+    let records, _ = Wal.Log.read path in
+    let module R = Wal.Recover.Make (A) in
+    match R.recover ~obj:(AObj.name acc) records with
+    | Error e -> Alcotest.fail e
+    | Ok oc -> check_bool "recovered balance" true (R.equal_states oc.R.states [ 3 ]))
+
 let () =
   Alcotest.run "runtime"
     [
@@ -356,6 +421,13 @@ let () =
           Alcotest.test_case "conflict carries holder" `Quick
             test_obj_conflict_reported_with_holder;
           Alcotest.test_case "stats" `Quick test_obj_stats;
+        ] );
+      ( "fold-reports",
+        [
+          Alcotest.test_case "respond fold is reported" `Quick
+            (respond_fold ~durable:false);
+          Alcotest.test_case "respond fold checkpoints and recovers" `Quick
+            (respond_fold ~durable:true);
         ] );
       ( "histories",
         [

@@ -116,6 +116,11 @@ let test_stress_account () =
     (s.AObj.conflicts > 0 || m.Runtime.Manager.aborted > 0 || s.AObj.forgotten > 0)
 
 let () =
+  (* The interleavings this test samples depend on real parallelism, so
+     say how much the host offers. *)
+  Printf.printf "recommended_domain_count = %d (spawning %d domains)\n%!"
+    (Domain.recommended_domain_count ())
+    domains;
   Alcotest.run "stress"
     [
       ( "account-4-domains",
