@@ -4,7 +4,7 @@
    lock-free priority registry) claims the no-conflict transaction path
    takes no mutex at all.  That claim is only checkable if every mutex
    acquisition that remains — Atomic_obj's ordered (trace/WAL/record)
-   sections and lost-CAS retries, Manager's WAL-ordering section and
+   sections and exclusive publishes after repeated lost CASes, Manager's WAL-ordering section and
    inflight overflow, Txn_rt's registry overflow — counts itself here.  The bench gate
    (`--hotpath-only`) then asserts the delta across a no-conflict
    WAL-off workload is exactly zero.

@@ -2,7 +2,7 @@
 
     Every remaining mutex acquisition in the runtime's transaction path
     self-reports here ({!count_obj} in {!Atomic_obj}'s ordered sections
-    and lost-CAS retries,
+    and exclusive publishes after repeated lost CASes,
     {!count_mgr} in {!Manager}'s WAL/overflow sections, {!count_registry}
     in {!Txn_rt}'s registry overflow), so the bench gate can assert that
     a no-conflict WAL-off workload takes {e zero} mutexes end to end.

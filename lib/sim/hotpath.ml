@@ -12,9 +12,9 @@
      failure.
    - [`Shared]: all domains increment one counter.  Inc/Inc never
      conflicts under the hybrid relation, so every attempt still
-     commits, but concurrent CAS publishes can race; losers retry under
-     the object mutex by design, so this shape reports (not asserts) its
-     lock counts.
+     commits, but concurrent CAS publishes can race; a publish that
+     loses repeatedly takes the object exclusively under its mutex, so
+     this shape reports (not asserts) its lock counts.
 
    [force_slow] replays the same workload through the pre-rework mutex
    paths (see Lockstat) for a same-process before/after ratio. *)

@@ -4,8 +4,8 @@
     [txns] transactions of one [Inc 1] against a counter — private per
     domain ([`Private], fully uncontended) or shared ([`Shared];
     [Inc]/[Inc] never conflicts under the hybrid relation, but
-    concurrent CAS publishes may race, and a loser retries under the
-    object mutex).  Every
+    concurrent CAS publishes may race, and a publish that loses
+    repeatedly takes the object exclusively under its mutex).  Every
     row carries the {!Runtime.Lockstat} delta observed during the run,
     which is how the [--hotpath-only] bench gate proves the uncontended
     path is mutex-free.  With [force_slow] the same workload replays

@@ -11,6 +11,8 @@
 
 module Q = Adt.Fifo_queue
 module QObj = Runtime.Atomic_obj.Make (Q)
+module A = Adt.Account
+module AObj = Runtime.Atomic_obj.Make (A)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -457,6 +459,77 @@ let test_blocked_txn_woken_by_release () =
   let r = Domain.join blocked in
   check_bool "blocked txn completed after release" true (r = Q.Ok)
 
+(* ---------------- fairness on one contended object ---------------- *)
+
+(* Two domains, each running the same fixed count of 4-op Credit/Debit
+   transactions on one Account through [Manager.run].  Debit/Ok
+   conflicts with Debit/Ok, so the domains contend on every other
+   operation.  Neither may starve the other: when the first domain has
+   finished, the other must be at least a quarter of the way through.
+   A ratio of the two domains' progress, so independent of host speed.
+   The starvation this guards against came from two sources, both fixed
+   in [Atomic_obj]: an invocation whose step was slow to compute lost
+   its CAS to the other domain's cheap publishes indefinitely, and the
+   other domain's new transactions took a released lock ahead of an
+   older waiter. *)
+let fairness_txns = 5000
+let fairness_rounds = 6
+
+let fairness_round () =
+  let mgr = Runtime.Manager.create () in
+  let acc = AObj.create ~conflict:A.conflict_hybrid () in
+  Runtime.Manager.run mgr (fun txn -> ignore (AObj.invoke acc txn (A.Credit 1_000_000)));
+  let completed = Array.init 2 (fun _ -> Atomic.make 0) in
+  let other_at_finish = Atomic.make (-1) in
+  let ready = Atomic.make 0 in
+  let worker d () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    for k = 1 to fairness_txns do
+      Runtime.Manager.run mgr (fun txn ->
+          for j = 0 to 3 do
+            let h = Hashtbl.hash (d, k, j) in
+            let amount = 1 + (h / 2 mod 9) in
+            let i = if h land 1 = 0 then A.Credit amount else A.Debit amount in
+            ignore (AObj.invoke acc txn i : A.res)
+          done);
+      Atomic.incr completed.(d)
+    done;
+    ignore (Atomic.compare_and_set other_at_finish (-1) (Atomic.get completed.(1 - d)) : bool)
+  in
+  (* The main domain is one of the two workers: an idle main domain
+     joining every minor collection would pace the other two. *)
+  let other = Domain.spawn (worker 1) in
+  worker 0 ();
+  Domain.join other;
+  check_int "all committed" ((2 * fairness_txns) + 1)
+    (Runtime.Manager.stats mgr).Runtime.Manager.committed;
+  Atomic.get other_at_finish
+
+(* Several rounds, each on a fresh manager and account, with
+   observability off as in production's lock-free mode: tracing makes
+   every update take the object mutex, which hides the contention. *)
+let test_two_domain_fairness () =
+  let was_enabled = Obs.Control.enabled () in
+  Obs.Control.set_enabled false;
+  let others =
+    Fun.protect ~finally:(fun () -> Obs.Control.set_enabled was_enabled) @@ fun () ->
+    List.init fairness_rounds (fun _ -> fairness_round ())
+  in
+  Printf.printf "fairness: the other domain's progress when the first finished: %s of %d\n"
+    (String.concat " " (List.map string_of_int others))
+    fairness_txns;
+  List.iteri
+    (fun k other ->
+      check_bool
+        (Printf.sprintf "round %d: other domain at >= 25%% when the first finished (%d/%d)" k
+           other fairness_txns)
+        true
+        (4 * other >= fairness_txns))
+    others
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -504,4 +577,6 @@ let () =
           Alcotest.test_case "blocked txn woken by release" `Quick
             test_blocked_txn_woken_by_release;
         ] );
+      ( "fairness",
+        [ Alcotest.test_case "two domains on one account" `Quick test_two_domain_fairness ] );
     ]
