@@ -232,17 +232,7 @@ let run ?(max_attempts = 1000) t body =
       match attempt_once ?priority t body with
       | Ok (v, _) -> v
       | Error (reason, prio) ->
-        let delay = Runtime.Backoff.restart_delay ~key:prio ~attempt in
-        if Obs.Span.enabled () then
-          Obs.Span.backoff ~txn:prio ~sleep_ns:(int_of_float (delay *. 1e9));
-        (* Park on the object the dying attempt lost (when the retry
-           loop recorded one) so a release re-dispatches the restart;
-           the jittered delay stays as the timeout backstop. *)
-        (match Runtime.Sched.take_restart_hint () with
-        | Some obj ->
-          let ticket = Runtime.Sched.register ~obj ~txn:prio in
-          ignore (Runtime.Sched.park ticket ~timeout:delay : [ `Woken | `Timeout ])
-        | None -> Runtime.Sched.sleep delay);
+        Runtime.Retry.restart_pause ~key:prio ~attempt;
         go (attempt + 1) (Some prio) reason
   in
   go 0 None "never attempted"

@@ -27,14 +27,13 @@ let c_cross_abort = 18 (* coordinator attempt aborted *)
 let c_fsync = 19 (* a WAL sync leader's fsync; txn = 0, arg = ns *)
 let c_park = 20 (* retry scheduler parked the txn; aux32 = obj, arg = timeout ns *)
 let c_unpark = 21 (* parked txn resumed; aux16 = 1 woken by a release, 0 timed out *)
-let c_steal = 22 (* a helper stole and delivered this txn's wake-up; aux32 = obj *)
 
 let all_codes =
   [
     c_begin; c_commit; c_abort; c_lock_wait; c_lock_resume; c_op; c_append;
     c_sync_wait; c_sync_done; c_backoff; c_prepare; c_prepared; c_decide;
     c_decide_commit; c_decide_abort; c_cross_begin; c_cross_commit;
-    c_cross_abort; c_fsync; c_park; c_unpark; c_steal;
+    c_cross_abort; c_fsync; c_park; c_unpark;
   ]
 
 let name code =
@@ -60,7 +59,6 @@ let name code =
   | 19 -> "fsync"
   | 20 -> "park"
   | 21 -> "unpark"
-  | 22 -> "steal"
   | c -> Printf.sprintf "code#%d" c
 
 (* Emit helpers: thin shims over {!Flight.emit} so instrumentation
@@ -117,5 +115,3 @@ let park ~txn ~obj ~timeout_ns =
 
 let unpark ~txn ~woken =
   Flight.emit ~code:c_unpark ~aux16:(if woken then 1 else 0) ~aux32:0 ~txn ~arg:0
-
-let steal ~txn ~obj = Flight.emit ~code:c_steal ~aux16:0 ~aux32:obj ~txn ~arg:0

@@ -32,7 +32,6 @@ val c_cross_abort : int
 val c_fsync : int
 val c_park : int
 val c_unpark : int
-val c_steal : int
 
 val all_codes : int list
 val name : int -> string
@@ -72,7 +71,3 @@ val unpark : txn:int -> woken:bool -> unit
 (** The parked transaction resumed: [woken] when a release signalled it,
     false when the timeout backstop expired.  The park→unpark interval
     sits inside the span's lock_wait window. *)
-
-val steal : txn:int -> obj:int -> unit
-(** A helping domain stole [txn]'s pending wake-up from another domain's
-    ring and delivered it (work-stealing re-dispatch). *)

@@ -536,10 +536,7 @@ let run ?(max_attempts = 1000) t body =
      wait-die's no-starvation argument needs seniority to be stable.
      The restart delay backs off exponentially with jitter keyed on
      that stable priority, so the losers of one conflict spread out
-     instead of re-colliding in lockstep (see Backoff).  When the dying
-     attempt recorded which object it lost (Sched's restart hint), the
-     delay parks on that object and a release re-dispatches the restart
-     immediately; the jittered delay remains as the timeout backstop. *)
+     instead of re-colliding in lockstep (see Retry.restart_pause). *)
   let rec go attempt priority last_reason =
     if attempt >= max_attempts then
       raise
@@ -549,17 +546,10 @@ let run ?(max_attempts = 1000) t body =
       match attempt_once ?priority t body with
       | Ok (v, _) -> v
       | Error (reason, prio) ->
-        let delay = Backoff.restart_delay ~key:prio ~attempt in
         (* The restarted attempt gets a fresh transaction id, so the
-           backoff record is keyed on the stable priority — the one id
-           every attempt of this transaction shares. *)
-        if Obs.Span.enabled () then
-          Obs.Span.backoff ~txn:prio ~sleep_ns:(int_of_float (delay *. 1e9));
-        (match Sched.take_restart_hint () with
-        | Some obj ->
-          let ticket = Sched.register ~obj ~txn:prio in
-          ignore (Sched.park ticket ~timeout:delay : [ `Woken | `Timeout ])
-        | None -> Sched.sleep delay);
+           pause is keyed on the stable priority — the one id every
+           attempt of this transaction shares. *)
+        Retry.restart_pause ~key:prio ~attempt;
         go (attempt + 1) (Some prio) reason
   in
   go 0 None "never attempted"

@@ -80,8 +80,9 @@ val run : ?max_attempts:int -> t -> (Txn_rt.t -> 'a) -> 'a
 (** Run a transaction to commit.  The body may raise
     {!Txn_rt.Abort_requested} (usually via {!Atomic_obj.Make.invoke}) to
     abort; any other exception aborts the transaction and propagates.
-    Failed attempts restart after a seeded, jittered exponential
-    backoff ({!Backoff.restart_delay}).  After [max_attempts] (default
+    Failed attempts restart after {!Retry.restart_pause}: a seeded,
+    jittered exponential backoff, parked on the object a wait-die death
+    lost so that its release cuts the pause short.  After [max_attempts] (default
     1000) failed attempts raises {!Too_many_attempts}.  With a WAL
     attached, a post-append sync failure raises {!Durability_lost}
     without retrying (the attempt's outcome is indeterminate, so a

@@ -14,8 +14,44 @@ let g_waiting = Obs.Gauge.make "retry_waiting"
 let die ~name reason =
   raise (Txn_rt.Abort_requested (Printf.sprintf "%s: %s" name reason))
 
-(* How many attempts spin (helping the scheduler) before parking. *)
+(* How many attempts spin before parking. *)
 let spin_limit = 10
+
+(* The object the current domain's last dying transaction lost a
+   conflict on, with the transaction it lost to (-1 when unknown).  The
+   death site knows both; the restart loop that catches the abort does
+   not, so the hint carries them across (one transaction runs per
+   domain at a time). *)
+let restart_hint : (int * int) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let set_restart_hint ~obj ~holder = Domain.DLS.get restart_hint := Some (obj, holder)
+
+let restart_pause ~key ~attempt =
+  let delay = Backoff.restart_delay ~key ~attempt in
+  if Obs.Span.enabled () then
+    Obs.Span.backoff ~txn:key ~sleep_ns:(int_of_float (delay *. 1e9));
+  let hint = Domain.DLS.get restart_hint in
+  let lost = !hint in
+  hint := None;
+  match lost with
+  | None -> Sched.sleep delay
+  | Some (obj, holder) ->
+    (* Park on the lost object until a release after the winner has
+       completed.  Restarting while the winner is still live only dies
+       again, so a wake-up from another release of the object (the
+       abort of another loser, say) parks again.  The delay bounds the
+       pause. *)
+    let deadline = Obs.Clock.now_ns () + int_of_float (delay *. 1e9) in
+    let rec wait () =
+      let left = deadline - Obs.Clock.now_ns () in
+      if left > 0 then
+        let ticket = Sched.register ~obj ~txn:key in
+        match Sched.park ticket ~timeout:(Obs.Clock.ns_to_s left) with
+        | `Woken when holder >= 0 && Txn_rt.priority_of_id holder <> None -> wait ()
+        | `Woken | `Timeout -> ()
+    in
+    wait ()
 
 let run ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt =
   let my_priority = Txn_rt.priority self in
@@ -49,10 +85,11 @@ let run ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt =
   let check_wait_die = function
     | `Conflict (Some { holder; holder_priority = Some hp }) when my_priority > hp ->
       (* Wait-die: the younger transaction dies immediately.  Leave the
-         contended object as the restart hint so the manager's restart
-         delay parks on its release instead of sleeping blind. *)
+         contended object and the holder as the restart hint, so the
+         restart pause waits for the holder to complete instead of
+         sleeping blind. *)
       Obs.Metrics.incr m_wait_die;
-      Sched.set_restart_hint ~obj;
+      set_restart_hint ~obj ~holder;
       die ~name (Printf.sprintf "wait-die vs txn %d" holder)
     | `Conflict _ | `Blocked -> ()
   in
@@ -64,19 +101,17 @@ let run ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt =
       check_wait_die failure;
       if n >= retries then begin
         Obs.Metrics.incr m_give_ups;
-        Sched.set_restart_hint ~obj;
+        set_restart_hint ~obj ~holder:(-1);
         die ~name (Printf.sprintf "giving up after %d attempts" n)
       end;
       enter_wait ();
-      (* Spin briefly (the holder is usually mid-operation), helping the
-         scheduler deliver pending wake-ups; then park on the contended
-         object until a commit/abort releases it, with the jittered
-         exponential quantum as the timeout backstop — a missed signal
-         degrades to exactly the old backoff sleep, never a stranded
-         waiter (see Sched). *)
+      (* Spin briefly (the holder is usually mid-operation), then park
+         on the contended object until a commit/abort releases it, with
+         the jittered exponential quantum as the timeout backstop — a
+         missed signal degrades to exactly the old backoff sleep, never
+         a stranded waiter (see Sched). *)
       let early =
         if n < spin_limit then begin
-          ignore (Sched.help () : bool);
           Domain.cpu_relax ();
           None
         end

@@ -14,7 +14,7 @@
     cannot starve.
 
     Waiting parks on the contended object via {!Sched} (woken by the
-    holder's commit/abort) after a short helping spin; the jittered
+    holder's commit/abort) after a short spin; the jittered
     exponential backoff ({!Backoff.retry_delay}) remains as each park's
     timeout backstop. *)
 
@@ -44,8 +44,7 @@ val run :
   (unit -> ('a, [< failure ]) result) ->
   'a
 (** Attempt until [Ok].  Conflicts against a younger holder (or unknown
-    holder, or [`Blocked]) are retried — a brief spin that also steals
-    pending scheduler wake-ups ({!Sched.help}), then register-and-park
+    holder, or [`Blocked]) are retried — a brief spin, then register-and-park
     on the contended object with the seeded, jittered exponential
     backoff ({!Backoff.retry_delay}, capped ~1ms) as timeout — at most
     [retries] times (default 500) before dying; conflicts where
@@ -60,3 +59,15 @@ val run :
     Retry volume, wait-die deaths and give-ups are also counted in the
     {!Obs.Metrics} registry ([retry.retries], [retry.wait_die_deaths],
     [retry.give_ups]). *)
+
+val restart_pause : key:int -> attempt:int -> unit
+(** The pause between a failed transaction attempt and its restart,
+    shared by [Manager.run] and [Dist.Coordinator.run]: the seeded,
+    jittered {!Backoff.restart_delay} for [key] (the transaction's
+    stable priority) and [attempt].  When the current domain's last
+    {!run} died on a conflict (wait-die or give-up), the pause parks on
+    that object, so a release restarts the transaction at once; a
+    wake-up that comes while the transaction it lost to is still live
+    does not end the pause.  The delay bounds the pause.  The hint is
+    consumed, and a pause with no recorded death sleeps for the
+    delay. *)

@@ -33,7 +33,9 @@ type row = {
   conflict_prob : float;  (** deterministic op-pair conflict probability *)
   atomic : (unit, string) result option;
       (** trace-replay hybrid-atomicity verdict for the run
-          ({!Obs.Replay}); [None] when observability was disabled. *)
+          ({!Obs.Replay}); [None] when observability was disabled, and
+          an [Error] without replay when the run overflowed the trace
+          ring ({!Obs.Trace.dropped}). *)
   attrib : Obs.Attrib.t option;
       (** per-op-pair conflict attribution folded from the run's trace
           window; [None] when observability was disabled. *)

@@ -370,73 +370,53 @@ let test_sched_cancel_is_inert () =
   Domain.join waker;
   check_bool "later waiter still wakes" true (r = `Woken)
 
-(* Wake-ring wrap-around: a stolen slot left uncleared lets a stealer
-   racing a claimed-but-not-yet-stored push on a later lap deliver the
-   previous lap's dead waiter — and the fresh waiter is skipped until
-   its park timeout.  Drive several laps of the 64-slot ring (5 waiters
-   per notify: 4 inline + exactly one ring push) against a concurrent
-   thief; every waiter must end up delivered. *)
-let test_ring_wrap_steal_no_lost_waiter () =
+(* One notify delivers every waiter on the object, with no other domain
+   helping: 8 waiters per round (more than any bounded inline batch)
+   over 500 rounds, one notify per round.  Each waiter must then be in
+   the signalled state, so its park returns [`Woken] at once. *)
+let test_one_notify_wakes_every_waiter () =
   let obj = Runtime.Txn_rt.fresh_object_key () in
   let rounds = 500 in
-  let per_round = 5 in
+  let per_round = 8 in
   let waiters = ref [] in
-  let stop = Atomic.make false in
-  let thief =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          if not (Runtime.Sched.help ()) then Domain.cpu_relax ()
-        done)
-  in
   for i = 1 to rounds do
     for j = 1 to per_round do
       waiters := Runtime.Sched.register ~obj ~txn:((i * 10) + j) :: !waiters
     done;
     Runtime.Sched.notify ~obj
   done;
-  Atomic.set stop true;
-  Domain.join thief;
-  (* Drain what the thief left pending; afterwards every waiter must be
-     in the signalled state, so its park returns [`Woken] immediately. *)
-  while Runtime.Sched.help () do
-    ()
-  done;
   let woken =
     List.filter (fun w -> Runtime.Sched.park w ~timeout:0.001 = `Woken) !waiters
   in
   check_int "every waiter was delivered" (rounds * per_round) (List.length woken)
 
-(* Park-slot aliasing: slots were keyed on the monotone domain id masked
-   to the table size, so a long-lived domain and one spawned exactly 64
-   domain-ids later shared a self-pipe — one parker's drain could eat
-   the other's wake byte.  Slots are now leased per live domain: hold
-   one domain alive, churn exactly 63 short-lived domains (the next
-   spawn's id is 64 past the pinned one), and the latecomer must still
-   get a distinct slot. *)
+(* Two live domains never share a self-pipe, or one parker's drain could
+   eat the other's wake byte.  A domain that has run and exited leaves
+   its pipe on the free list; the pinned domain takes it, then 63
+   short-lived domains churn, and a late domain must still get a pipe
+   of its own. *)
 let test_park_slots_distinct_across_domain_churn () =
-  let pinned_idx = Atomic.make (-1) in
+  Domain.join (Domain.spawn (fun () -> ignore (Runtime.Sched.park_fd () : Unix.file_descr)));
+  let pinned_fd = Atomic.make None in
   let release = Atomic.make false in
   let pinned =
     Domain.spawn (fun () ->
-        Atomic.set pinned_idx (Runtime.Sched.domain_index ());
+        Atomic.set pinned_fd (Some (Runtime.Sched.park_fd ()));
         while not (Atomic.get release) do
           Domain.cpu_relax ()
         done)
   in
-  while Atomic.get pinned_idx < 0 do
+  while Atomic.get pinned_fd = None do
     Domain.cpu_relax ()
   done;
   for _ = 1 to 63 do
-    Domain.join (Domain.spawn (fun () -> ()))
+    Domain.join (Domain.spawn (fun () -> ignore (Runtime.Sched.park_fd () : Unix.file_descr)))
   done;
-  let late_idx = Domain.join (Domain.spawn (fun () -> Runtime.Sched.domain_index ())) in
+  let late_fd = Domain.join (Domain.spawn Runtime.Sched.park_fd) in
   Atomic.set release true;
   Domain.join pinned;
-  check_bool
-    (Printf.sprintf "concurrently live domains own distinct park slots (%d vs %d)"
-       (Atomic.get pinned_idx) late_idx)
-    true
-    (Atomic.get pinned_idx <> late_idx)
+  check_bool "concurrently live domains own distinct park slots" true
+    (Atomic.get pinned_fd <> Some late_fd)
 
 (* End to end: a transaction blocked on a lock is woken by the holder's
    commit well before its timeout backstop would fire. *)
@@ -458,6 +438,96 @@ let test_blocked_txn_woken_by_release () =
   Runtime.Txn_rt.commit holder 1;
   let r = Domain.join blocked in
   check_bool "blocked txn completed after release" true (r = Q.Ok)
+
+(* ---------------- the restart pause ---------------- *)
+
+(* The first attempt of [run] dies under wait-die against an older
+   holder of [q]'s lock; the second attempt completes the holder and
+   then takes the lock.  The pause between them must park on [q] (the
+   hint the death left), the retry must keep the first attempt's
+   priority, and the hint must be consumed: a later pause with no death
+   behind it sleeps instead of parking.  [run] takes the body's
+   transaction handle to the object; [complete_holder] commits the
+   holder through the same manager. *)
+let check_restart_pause ~run ~complete_holder =
+  let q = QObj.create ~conflict:Q.conflict_rw () in
+  (* Drawn before the body's transaction, so older under wait-die. *)
+  let holder = Runtime.Txn_rt.fresh () in
+  (match QObj.try_invoke q holder (Q.Enq 1) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "holder's enq should succeed");
+  let priorities = ref [] in
+  let parks () = (Runtime.Sched.stats ()).Runtime.Sched.parks in
+  let parks0 = parks () in
+  let r =
+    run (fun txn ->
+        priorities := Runtime.Txn_rt.priority txn :: !priorities;
+        if List.length !priorities = 2 then complete_holder holder;
+        QObj.invoke q txn (Q.Enq 2))
+  in
+  check_bool "committed once the holder completed" true (r = Q.Ok);
+  (match !priorities with
+  | [ p2; p1 ] -> check_int "the retry keeps the first attempt's priority" p1 p2
+  | ps -> Alcotest.failf "expected 2 attempts, saw %d" (List.length ps));
+  check_bool "the pause parked on the lost object" true (parks () - parks0 >= 1);
+  let parks1 = parks () in
+  Runtime.Retry.restart_pause ~key:(List.hd !priorities) ~attempt:0;
+  check_int "the hint was consumed" 0 (parks () - parks1)
+
+let test_restart_pause_manager () =
+  let mgr = Runtime.Manager.create () in
+  check_restart_pause
+    ~run:(fun body -> Runtime.Manager.run mgr body)
+    ~complete_holder:(fun h -> ignore (Runtime.Manager.commit_txn mgr h : int))
+
+let test_restart_pause_coordinator () =
+  let router = Dist.Router.make ~count:1 () in
+  let shard = Dist.Router.shard router 0 in
+  let coord = Dist.Coordinator.create router in
+  check_restart_pause
+    ~run:(fun body ->
+      Dist.Coordinator.run coord (fun ctx -> body (Dist.Coordinator.branch ctx shard)))
+    ~complete_holder:(fun h ->
+      ignore (Runtime.Manager.commit_txn (Dist.Shard.mgr shard) h : int));
+  Dist.Router.close router
+
+(* A wake-up that comes while the transaction that won the conflict is
+   still live does not end the pause: with every waiter woken by each
+   release, restarting into a live winner only dies again.  A domain
+   notifying the object in a loop must not cut the pause short. *)
+let test_restart_pause_waits_for_winner () =
+  let q = QObj.create ~conflict:Q.conflict_rw () in
+  let winner = Runtime.Txn_rt.fresh () in
+  (match QObj.try_invoke q winner (Q.Enq 1) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "winner's enq should succeed");
+  let loser = Runtime.Txn_rt.fresh () in
+  (match QObj.invoke q loser (Q.Enq 2) with
+  | _ -> Alcotest.fail "the younger transaction should die under wait-die"
+  | exception Runtime.Txn_rt.Abort_requested _ -> ());
+  Runtime.Txn_rt.abort loser;
+  let key = Runtime.Txn_rt.priority loser in
+  let attempt = 8 in
+  let stop = Atomic.make false in
+  let notifier =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Runtime.Sched.notify ~obj:(QObj.key q);
+          Domain.cpu_relax ()
+        done)
+  in
+  let t0 = Unix.gettimeofday () in
+  Runtime.Retry.restart_pause ~key ~attempt;
+  let waited = Unix.gettimeofday () -. t0 in
+  Atomic.set stop true;
+  Domain.join notifier;
+  Runtime.Txn_rt.abort winner;
+  let delay = Runtime.Backoff.restart_delay ~key ~attempt in
+  check_bool
+    (Printf.sprintf "other releases did not end the pause (%.0f of %.0f us)" (waited *. 1e6)
+       (delay *. 1e6))
+    true
+    (waited >= 0.9 *. delay)
 
 (* ---------------- fairness on one contended object ---------------- *)
 
@@ -570,12 +640,18 @@ let () =
           Alcotest.test_case "park and wake" `Quick test_sched_park_and_wake;
           Alcotest.test_case "timeout backstop" `Quick test_sched_timeout_backstop;
           Alcotest.test_case "cancel is inert" `Quick test_sched_cancel_is_inert;
-          Alcotest.test_case "ring wrap loses no waiter" `Quick
-            test_ring_wrap_steal_no_lost_waiter;
+          Alcotest.test_case "one notify wakes every waiter" `Quick
+            test_one_notify_wakes_every_waiter;
           Alcotest.test_case "park slots distinct across domain churn" `Quick
             test_park_slots_distinct_across_domain_churn;
           Alcotest.test_case "blocked txn woken by release" `Quick
             test_blocked_txn_woken_by_release;
+        ] );
+      ( "restart-pause",
+        [
+          Alcotest.test_case "Manager.run" `Quick test_restart_pause_manager;
+          Alcotest.test_case "Coordinator.run" `Quick test_restart_pause_coordinator;
+          Alcotest.test_case "waits for the winner" `Quick test_restart_pause_waits_for_winner;
         ] );
       ( "fairness",
         [ Alcotest.test_case "two domains on one account" `Quick test_two_domain_fairness ] );

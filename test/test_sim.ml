@@ -138,6 +138,24 @@ let test_exp_semiqueue_shape () =
   let semi = find_row t "SemiQueue" in
   Alcotest.(check int) "semiqueue conflicts 0" 0 semi.Sim.Experiments.op_conflicts
 
+(* A run that overflows the 65,536-entry trace ring has lost its oldest
+   invocations: its verdict must say so rather than replay the holes,
+   and it must still count as a violation. *)
+let test_wrapped_window_not_replayed () =
+  let scale = { Sim.Experiments.domains = 1; txns = 6000; think_us = 0. } in
+  let t = Sim.Experiments.exp_directory ~scale () in
+  let r = List.hd t.Sim.Experiments.rows in
+  (match r.Sim.Experiments.atomic with
+  | Some (Error e) ->
+    Alcotest.(check bool) ("verdict names the lost window: " ^ e) true
+      (Astring_contains.contains e "trace window lost")
+  | Some (Ok ()) -> Alcotest.fail "a wrapped window was judged atomic"
+  | None -> Alcotest.fail "observability is off");
+  Alcotest.(check bool) "counted as a violation" true
+    (List.exists
+       (fun (_, label, _) -> label = r.Sim.Experiments.label)
+       (Sim.Experiments.violations [ t ]))
+
 let () =
   Alcotest.run "sim"
     [
@@ -160,5 +178,7 @@ let () =
           Alcotest.test_case "queue-enq shape" `Slow test_exp_queue_enq_shape;
           Alcotest.test_case "account shape" `Slow test_exp_account_shape;
           Alcotest.test_case "semiqueue shape" `Slow test_exp_semiqueue_shape;
+          Alcotest.test_case "wrapped trace window is not replayed" `Slow
+            test_wrapped_window_not_replayed;
         ] );
     ]
