@@ -647,7 +647,7 @@ let () =
           Alcotest.test_case "blocked txn woken by release" `Quick
             test_blocked_txn_woken_by_release;
         ] );
-      ( "restart-pause",
+      ( "restart",
         [
           Alcotest.test_case "Manager.run" `Quick test_restart_pause_manager;
           Alcotest.test_case "Coordinator.run" `Quick test_restart_pause_coordinator;
