@@ -6,6 +6,18 @@ module Make (A : Spec.Adt_sig.S) = struct
 
   type op = A.inv * A.res
 
+  (* An active transaction's intentions with its memoised view: [view]
+     is [base] extended by the operations in order, and [base] is the
+     [committed_cache] it was built on.  The memo is current exactly
+     when [base == committed_cache] — physical equality on an immutable
+     list, so a match can never be stale; only a Commit replaces the
+     cache. *)
+  type intention = {
+    ops : op list; (* reversed *)
+    view : A.state list;
+    base : A.state list;
+  }
+
   type t = {
     conflict : op -> op -> bool;
     version : A.state list; (* state set after the forgotten prefix *)
@@ -14,13 +26,15 @@ module Make (A : Spec.Adt_sig.S) = struct
         (* committed but not yet forgotten, ascending timestamp order *)
     folded_upto : Xts.t; (* largest timestamp folded into the version *)
     committed_cache : A.state list;
-        (* state set after version * remembered — recomputed only when a
-           commit event reorders the remembered list, so views need not
-           replay committed intentions on every invocation *)
+        (* state set after version * remembered — replaced only by a
+           Commit (a fold leaves it alone), so views need not replay
+           committed intentions on every invocation *)
     pending : A.inv Tmap.t;
-    intentions : op list Tmap.t; (* active transactions only; reversed *)
+    intentions : intention Tmap.t; (* active transactions only *)
     aborted : unit Tmap.t;
-    committed_set : unit Tmap.t; (* all transactions ever committed *)
+        (* the only completion fact kept: an aborted transaction may
+           keep invoking (paper Section 2), and the runtime may deliver
+           an Abort ahead of an in-flight invocation *)
     clock : Xts.t;
     bound : Xts.t Tmap.t;
   }
@@ -36,12 +50,11 @@ module Make (A : Spec.Adt_sig.S) = struct
       pending = Tmap.empty;
       intentions = Tmap.empty;
       aborted = Tmap.empty;
-      committed_set = Tmap.empty;
       clock = Xts.Neg_inf;
       bound = Tmap.empty;
     }
 
-  let is_completed t q = Tmap.mem q t.aborted || Tmap.mem q t.committed_set
+  let is_aborted t q = Tmap.mem q t.aborted
 
   let horizon t =
     let min_bound =
@@ -90,9 +103,6 @@ module Make (A : Spec.Adt_sig.S) = struct
       }
     else fold_prefix hz t
 
-  let own_intentions t q =
-    match Tmap.find_opt q t.intentions with Some ops -> List.rev ops | None -> []
-
   let recompute_cache t =
     let cache =
       List.fold_left
@@ -101,17 +111,26 @@ module Make (A : Spec.Adt_sig.S) = struct
     in
     { t with committed_cache = cache }
 
-  let view_states t q = H.Seq.states_after' t.committed_cache (own_intentions t q)
+  (* The state set of a transaction's view: the committed cache extended
+     by its own intentions — the memo while it is current, otherwise a
+     replay. *)
+  let view_of t = function
+    | None -> t.committed_cache
+    | Some e when e.base == t.committed_cache -> e.view
+    | Some e -> H.Seq.states_after' t.committed_cache (List.rev e.ops)
 
+  (* [intentions] holds active transactions only (a Respond for a
+     completed transaction is refused; Commit and Abort remove the
+     entry), so every other holder is a live lock. *)
   let find_conflict t q candidate =
     Tmap.fold
-      (fun p ops acc ->
+      (fun p e acc ->
         match acc with
         | Some _ -> acc
         | None ->
-          if Txn.equal p q || is_completed t p then None
+          if Txn.equal p q then None
           else
-            List.find_opt (fun op -> t.conflict op candidate) ops
+            List.find_opt (fun op -> t.conflict op candidate) e.ops
             |> Option.map (fun op -> (p, op)))
       t.intentions None
 
@@ -127,25 +146,49 @@ module Make (A : Spec.Adt_sig.S) = struct
     in
     go l
 
+  (* The Respond step given the transaction's intentions entry and the
+     view built from it: the legality check's result is the extended
+     view, stored as the new memo. *)
+  let respond t q entry view candidate =
+    match H.Seq.states_after' view [ candidate ] with
+    | [] -> Error L.Illegal_in_view
+    | view -> (
+      match find_conflict t q candidate with
+      | Some (p, op) -> Error (L.Lock_conflict (p, op))
+      | None ->
+        let ops = match entry with Some e -> e.ops | None -> [] in
+        Ok
+          (forget
+             {
+               t with
+               pending = Tmap.remove q t.pending;
+               intentions =
+                 Tmap.add q
+                   { ops = candidate :: ops; view; base = t.committed_cache }
+                   t.intentions;
+               bound = Tmap.add q t.clock t.bound;
+             }))
+
   let step t (event : H.event) =
     match event with
     | H.Invoke (q, i) ->
-      let bound = if is_completed t q then t.bound else Tmap.add q t.clock t.bound in
+      let bound = if is_aborted t q then t.bound else Tmap.add q t.clock t.bound in
       Ok (forget { t with pending = Tmap.add q i t.pending; bound })
     | H.Commit (q, ts) ->
-      let ops = Option.value ~default:[] (Tmap.find_opt q t.intentions) in
+      let entry = Tmap.find_opt q t.intentions in
+      let ops = match entry with Some e -> e.ops | None -> [] in
       (* When the new timestamp is the largest committed so far (the
          common case: timestamps are drawn just before commit events are
          distributed), the committed sequence is only extended at the
-         end, so the cache extends incrementally; an out-of-order commit
-         splices into the middle and forces a full replay. *)
+         end, so the new cache is this transaction's view; an
+         out-of-order commit splices into the middle and forces a full
+         replay. *)
       let in_order = Xts.(t.clock <= of_ts ts) in
       let t' =
         {
           t with
           remembered = insert_by_ts (ts, q, ops) t.remembered;
           intentions = Tmap.remove q t.intentions;
-          committed_set = Tmap.add q () t.committed_set;
           clock = Xts.max t.clock (Xts.of_ts ts);
           bound = Tmap.remove q t.bound;
           pending = Tmap.remove q t.pending;
@@ -156,9 +199,7 @@ module Make (A : Spec.Adt_sig.S) = struct
          prefix (never the stale cache) and the cache is rebuilt from
          what stays remembered. *)
       Ok
-        (if in_order then
-           forget
-             { t' with committed_cache = H.Seq.states_after' t.committed_cache (List.rev ops) }
+        (if in_order then forget { t' with committed_cache = view_of t entry }
          else recompute_cache (fold_prefix (horizon t') t'))
     | H.Abort q ->
       Ok
@@ -173,24 +214,10 @@ module Make (A : Spec.Adt_sig.S) = struct
     | H.Respond (q, r) -> (
       match Tmap.find_opt q t.pending with
       | None -> Error L.No_pending
-      | Some _ when is_completed t q -> Error L.Already_completed
+      | Some _ when is_aborted t q -> Error L.Already_completed
       | Some i ->
-        let candidate = (i, r) in
-        if H.Seq.states_after' (view_states t q) [ candidate ] = [] then
-          Error L.Illegal_in_view
-        else (
-          match find_conflict t q candidate with
-          | Some (p, op) -> Error (L.Lock_conflict (p, op))
-          | None ->
-            let ops = Option.value ~default:[] (Tmap.find_opt q t.intentions) in
-            Ok
-              (forget
-                 {
-                   t with
-                   pending = Tmap.remove q t.pending;
-                   intentions = Tmap.add q (candidate :: ops) t.intentions;
-                   bound = Tmap.add q t.clock t.bound;
-                 })))
+        let entry = Tmap.find_opt q t.intentions in
+        respond t q entry (view_of t entry) (i, r))
 
   let run ~conflict h =
     let rec go t = function
@@ -200,40 +227,38 @@ module Make (A : Spec.Adt_sig.S) = struct
     in
     go (create ~conflict) h
 
+  (* The distinct responses to [i] from the states of a view. *)
+  let responses view i =
+    List.concat_map (fun s -> List.map fst (A.step s i)) view
+    |> List.fold_left (fun acc r -> if List.exists (A.equal_res r) acc then acc else r :: acc) []
+    |> List.rev
+
   let available_responses t q =
     match Tmap.find_opt q t.pending with
     | None -> []
+    | Some _ when is_aborted t q -> []
     | Some i ->
-      let ss = view_states t q in
-      let candidates =
-        List.concat_map (fun s -> List.map fst (A.step s i)) ss
-        |> List.fold_left
-             (fun acc r -> if List.exists (A.equal_res r) acc then acc else r :: acc)
-             []
-        |> List.rev
-      in
-      List.filter
-        (fun r -> match step t (H.Respond (q, r)) with Ok _ -> true | Error _ -> false)
-        candidates
+      let entry = Tmap.find_opt q t.intentions in
+      let view = view_of t entry in
+      List.filter (fun r -> Result.is_ok (respond t q entry view (i, r))) (responses view i)
 
   let choose_response t q =
     match Tmap.find_opt q t.pending with
     | None -> invalid_arg "Compacted.choose_response: no pending invocation"
     | Some i ->
-      let ss = view_states t q in
-      let candidates =
-        List.concat_map (fun s -> List.map fst (A.step s i)) ss
-        |> List.fold_left
-             (fun acc r -> if List.exists (A.equal_res r) acc then acc else r :: acc)
-             []
-        |> List.rev
-      in
+      let entry = Tmap.find_opt q t.intentions in
+      let view = view_of t entry in
+      let candidates = responses view i in
       if candidates = [] then Error `Blocked
+      else if is_aborted t q then
+        (* An orphan's responses are all refused (Already_completed):
+           a refusal with no holder to name. *)
+        Error (`Conflict None)
       else
         let rec try_all conflict = function
           | [] -> Error (`Conflict conflict)
           | r :: rest -> (
-            match step t (H.Respond (q, r)) with
+            match respond t q entry view (i, r) with
             | Ok t' -> Ok (r, t')
             | Error (L.Lock_conflict (p, held)) ->
               try_all (Some { c_holder = p; c_requested = (i, r); c_held = held }) rest
@@ -266,10 +291,10 @@ module Make (A : Spec.Adt_sig.S) = struct
 
   let live_ops t =
     List.fold_left (fun acc (_, _, ops) -> acc + List.length ops) 0 t.remembered
-    + Tmap.fold (fun _ ops acc -> acc + List.length ops) t.intentions 0
+    + Tmap.fold (fun _ e acc -> acc + List.length e.ops) t.intentions 0
 
   let active t =
-    Tmap.fold (fun q ops acc -> (q, List.length ops) :: acc) t.intentions []
+    Tmap.fold (fun q e acc -> (q, List.length e.ops) :: acc) t.intentions []
     |> List.rev
 
   type summary = {

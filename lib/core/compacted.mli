@@ -14,7 +14,23 @@
 
     The version is a {e set} of specification states, which collapses to
     a singleton for deterministic ADTs; SemiQueue-style nondeterminism is
-    handled without special cases. *)
+    handled without special cases.
+
+    {b Memoised views.}  Each active transaction's entry keeps its
+    operations, the state set they produce on top of the committed
+    state (its {e view}), and the committed state set that view was
+    built on.  The memo is valid exactly when that base is physically
+    the current committed state set — an immutable value that only a
+    Commit replaces (a fold leaves it alone) — so building a view on the
+    uncontended path costs a pointer comparison, and a granted response
+    extends it with one specification step.  Any other view is rebuilt
+    by replay and memoised afresh on the next grant.
+
+    {b Completion facts.}  The machine keeps no record of committed
+    transactions, so its memory stays proportional to the live state.
+    It keeps only the set of aborted transactions, because the paper
+    (Section 2) lets an aborted transaction keep invoking, and a runtime
+    can deliver an Abort ahead of an invocation already in flight. *)
 
 module Make (A : Spec.Adt_sig.S) : sig
   module H : module type of Model.History.Make (A)
@@ -27,7 +43,13 @@ module Make (A : Spec.Adt_sig.S) : sig
 
   val step : t -> H.event -> (t, L.refusal) result
   (** Accepts and refuses exactly as {!Lock_machine.Make.step} does
-      (the compaction is transparent). *)
+      (the compaction is transparent) on every history in which a
+      committed transaction issues no further event.  That is the only
+      narrowing: an aborted transaction's later invocations are accepted
+      and its responses refused, as in the formal machine.  The runtime
+      stays inside the contract — only a transaction's owner commits it,
+      and an object refuses to run an invocation for a committed
+      handle. *)
 
   val run : conflict:(op -> op -> bool) -> H.t -> (t, H.event * L.refusal) result
   val available_responses : t -> Model.Txn.t -> A.res list

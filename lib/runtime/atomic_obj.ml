@@ -505,92 +505,95 @@ module Make (A : Spec.Adt_sig.S) = struct
     | `Aborted ->
       raise (Txn_rt.Abort_requested (t.name ^ ": orphan (transaction already aborted)"))
     | `Committed _ -> invalid_arg "Atomic_obj.try_invoke: transaction already committed");
+    (* Register before publishing: the machine will track a pending
+       invocation, a timestamp lower bound and perhaps a lock for this
+       transaction, and its commit or abort must reach this object to
+       release them.  An abort from another domain either sees the
+       registration or has closed the list first, and then registering
+       raises.  An abort that lands on the machine ahead of this
+       publish is absorbed by it: the orphan invocation adds no bound
+       and its response is refused.  The participant is built only on
+       first touch. *)
+    if not (Txn_rt.has_participant txn ~key:t.key) then
+      Txn_rt.add_participant txn ~key:t.key (participant t txn);
     let q = Txn_rt.model_txn txn in
     let qid = Txn_rt.id txn in
     let priority = Txn_rt.priority txn in
-    let result =
-      section t (fun ordered ->
-          (* Invoke and choose against one snapshot, published by one
-             CAS.  A refused attempt leaves the invocation pending (the
-             paper retries the response, not the invocation), so only a
-             fresh invocation steps the machine; a refusal still
-             publishes that step — the pending invocation carries the
-             machine's timestamp lower bound for this transaction.  A
-             response the senior rule bars is refused the same way. *)
-          let fresh, chosen =
-            transition t ~ordered ~txn:qid (fun m0 ->
-                let fresh =
-                  match C.pending m0 q with Some i' -> not (A.equal_inv i i') | None -> true
-                in
-                let m1 = if fresh then accept m0 (H.Invoke (q, i)) else m0 in
-                match C.choose_response m1 q with
-                | Ok (r, m2) -> (
-                  match barred_by_senior t ~id:qid ~priority i r with
-                  | None -> (m2, (fresh, Ok r))
-                  | Some s -> (m1, (fresh, Error (`Senior (s, r)))))
-                | Error ((`Blocked | `Conflict _) as e) -> (m1, (fresh, Error e)))
-          in
-          if fresh && ordered then begin
-            emit t ~txn:qid (Obs.Trace.Invoke (encode_inv t i));
-            push_event t (H.Invoke (q, i))
+    section t (fun ordered ->
+        (* Invoke and choose against one snapshot, published by one
+           CAS.  A refused attempt leaves the invocation pending (the
+           paper retries the response, not the invocation), so only a
+           fresh invocation steps the machine; a refusal still
+           publishes that step — the pending invocation carries the
+           machine's timestamp lower bound for this transaction.  A
+           response the senior rule bars is refused the same way. *)
+        let fresh, chosen =
+          transition t ~ordered ~txn:qid (fun m0 ->
+              let fresh =
+                match C.pending m0 q with Some i' -> not (A.equal_inv i i') | None -> true
+              in
+              let m1 = if fresh then accept m0 (H.Invoke (q, i)) else m0 in
+              match C.choose_response m1 q with
+              | Ok (r, m2) -> (
+                match barred_by_senior t ~id:qid ~priority i r with
+                | None -> (m2, (fresh, Ok r))
+                | Some s -> (m1, (fresh, Error (`Senior (s, r)))))
+              | Error ((`Blocked | `Conflict _) as e) -> (m1, (fresh, Error e)))
+        in
+        if fresh && ordered then begin
+          emit t ~txn:qid (Obs.Trace.Invoke (encode_inv t i));
+          push_event t (H.Invoke (q, i))
+        end;
+        match chosen with
+        | Ok r ->
+          clear_senior t qid;
+          Atomic.incr t.invocations;
+          Obs.Metrics.incr m_invocations;
+          if ordered then begin
+            (* Write-ahead intention: the operation joins the
+               transaction's intentions list in the log the moment it
+               is chosen, under the object mutex — so intentions for
+               one object appear in the log in execution order, and a
+               commit record can only follow every intention it
+               covers. *)
+            (match t.wal with
+            | Some (w, codec) ->
+              Wal.Log.append w
+                (Wal.Log.Intention
+                   {
+                     obj = t.name;
+                     txn = qid;
+                     payload = Wal.Codec.encode_op codec (i, r);
+                     cell = t.cell;
+                   })
+            | None -> ());
+            push_event t (H.Respond (q, r));
+            emit t ~txn:qid (Obs.Trace.Respond (encode_res t r));
+            emit t ~txn:qid Obs.Trace.Lock_granted
           end;
-          match chosen with
-          | Ok r ->
-            clear_senior t qid;
-            Atomic.incr t.invocations;
-            Obs.Metrics.incr m_invocations;
-            if ordered then begin
-              (* Write-ahead intention: the operation joins the
-                 transaction's intentions list in the log the moment it
-                 is chosen, under the object mutex — so intentions for
-                 one object appear in the log in execution order, and a
-                 commit record can only follow every intention it
-                 covers. *)
-              (match t.wal with
-              | Some (w, codec) ->
-                Wal.Log.append w
-                  (Wal.Log.Intention
-                     {
-                       obj = t.name;
-                       txn = qid;
-                       payload = Wal.Codec.encode_op codec (i, r);
-                       cell = t.cell;
-                     })
-              | None -> ());
-              push_event t (H.Respond (q, r));
-              emit t ~txn:qid (Obs.Trace.Respond (encode_res t r));
-              emit t ~txn:qid Obs.Trace.Lock_granted
-            end;
-            Ok r
-          | Error `Blocked ->
-            (* A blocked senior waits on the state, not on a lock. *)
-            clear_senior t qid;
-            Atomic.incr t.blocked;
-            Obs.Metrics.incr m_blocked;
-            if ordered then emit t ~txn:qid Obs.Trace.Blocked;
-            Error `Blocked
-          | Error (`Conflict info) ->
-            let conflict = capture_conflict info in
-            (* Older than the holder: wait-die lets it wait, so it
-               becomes a candidate senior. *)
-            (match (info, conflict) with
-            | Some ci, Some { Retry.holder_priority = Some hp; _ } when priority < hp ->
-              record_senior t { s_id = qid; s_priority = priority; s_requested = ci.C.c_requested }
-            | _ -> ());
-            refuse t ~ordered ~txn:qid
-              ~holder:(Option.map (fun c -> c.Retry.holder) conflict)
-              (Option.map (fun ci -> (ci.C.c_requested, ci.C.c_held)) info);
-            Error (`Conflict conflict)
-          | Error (`Senior (s, r)) ->
-            refuse t ~ordered ~txn:qid ~holder:(Some s.s_id) (Some ((i, r), s.s_requested));
-            Error (`Conflict (Some { Retry.holder = s.s_id; holder_priority = Some s.s_priority })))
-    in
-    (* Register even after a refusal: the machine now tracks a pending
-       invocation and a timestamp lower bound for this transaction, and
-       the eventual commit/abort event must reach this object to release
-       them. *)
-    Txn_rt.add_participant txn ~key:t.key (participant t txn);
-    result
+          Ok r
+        | Error `Blocked ->
+          (* A blocked senior waits on the state, not on a lock. *)
+          clear_senior t qid;
+          Atomic.incr t.blocked;
+          Obs.Metrics.incr m_blocked;
+          if ordered then emit t ~txn:qid Obs.Trace.Blocked;
+          Error `Blocked
+        | Error (`Conflict info) ->
+          let conflict = capture_conflict info in
+          (* Older than the holder: wait-die lets it wait, so it
+             becomes a candidate senior. *)
+          (match (info, conflict) with
+          | Some ci, Some { Retry.holder_priority = Some hp; _ } when priority < hp ->
+            record_senior t { s_id = qid; s_priority = priority; s_requested = ci.C.c_requested }
+          | _ -> ());
+          refuse t ~ordered ~txn:qid
+            ~holder:(Option.map (fun c -> c.Retry.holder) conflict)
+            (Option.map (fun ci -> (ci.C.c_requested, ci.C.c_held)) info);
+          Error (`Conflict conflict)
+        | Error (`Senior (s, r)) ->
+          refuse t ~ordered ~txn:qid ~holder:(Some s.s_id) (Some ((i, r), s.s_requested));
+          Error (`Conflict (Some { Retry.holder = s.s_id; holder_priority = Some s.s_priority })))
 
   let invoke ?retries t txn i =
     let on_retry () = emit t ~txn:(Txn_rt.id txn) Obs.Trace.Retry in

@@ -137,12 +137,19 @@ let participant t (txn : Txn_rt.t) : Txn_rt.participant =
         Sched.notify ~obj:t.key);
   }
 
-let register t txn = Txn_rt.add_participant txn ~key:t.key (participant t txn)
+let register t txn =
+  if not (Txn_rt.has_participant txn ~key:t.key) then
+    Txn_rt.add_participant txn ~key:t.key (participant t txn)
 
 let record_bound t who = Hashtbl.replace t.bounds who t.clock
 
 (* Orphan detection, as in Atomic_obj: a completed transaction must not
-   acquire locks its completion can no longer release. *)
+   acquire locks its completion can no longer release.  Callers register
+   first (which raises on a completed transaction) and check under the
+   mutex: an abort from another domain then either closed the
+   participant list before the registration, or runs this object's
+   [on_abort] — before the locked section, which the check then
+   refuses, or after it, releasing what it granted. *)
 let check_live t txn =
   match Txn_rt.status txn with
   | `Active -> ()
@@ -151,20 +158,17 @@ let check_live t txn =
   | `Committed _ -> invalid_arg "Avalon_account: transaction already committed"
 
 let update_intent t txn mode f =
-  check_live t txn;
-  let who = Txn_rt.id txn in
-  let result =
-    with_lock t (fun () ->
-        match conflict_holder t who mode with
-        | Some holder -> Error (`Conflict (capture_conflict (Some holder)))
-        | None ->
-          grant t who mode;
-          Hashtbl.replace t.intents who (f (intent_of t who));
-          record_bound t who;
-          Ok ())
-  in
   register t txn;
-  result
+  let who = Txn_rt.id txn in
+  with_lock t (fun () ->
+      check_live t txn;
+      match conflict_holder t who mode with
+      | Some holder -> Error (`Conflict (capture_conflict (Some holder)))
+      | None ->
+        grant t who mode;
+        Hashtbl.replace t.intents who (f (intent_of t who));
+        record_bound t who;
+        Ok ())
 
 let try_credit t txn amt =
   update_intent t txn Credit_lock (fun i -> { i with add = i.add + amt })
@@ -174,34 +178,31 @@ let try_post t txn pct =
       { mul = i.mul * (1 + pct); add = i.add * (1 + pct) })
 
 let try_debit t txn amt =
-  check_live t txn;
-  let who = Txn_rt.id txn in
-  let result =
-    with_lock t (fun () ->
-        let view = view_balance t who in
-        let debit_holder = conflict_holder t who Debit_lock in
-        let overdraft_holder = conflict_holder t who Overdraft_lock in
-        if view >= amt && debit_holder = None then begin
-          (* YES: sufficient funds and the DEBIT lock is grantable. *)
-          grant t who Debit_lock;
-          let i = intent_of t who in
-          Hashtbl.replace t.intents who { i with add = i.add - amt };
-          record_bound t who;
-          Ok true
-        end
-        else if view < amt && overdraft_holder = None then begin
-          (* NO: overdraft; lock the observation, leave the balance. *)
-          grant t who Overdraft_lock;
-          record_bound t who;
-          Ok false
-        end
-        else
-          (* MAYBE: lock conflicts leave the status ambiguous. *)
-          let holder = if view >= amt then debit_holder else overdraft_holder in
-          Error (`Conflict (capture_conflict holder)))
-  in
   register t txn;
-  result
+  let who = Txn_rt.id txn in
+  with_lock t (fun () ->
+      check_live t txn;
+      let view = view_balance t who in
+      let debit_holder = conflict_holder t who Debit_lock in
+      let overdraft_holder = conflict_holder t who Overdraft_lock in
+      if view >= amt && debit_holder = None then begin
+        (* YES: sufficient funds and the DEBIT lock is grantable. *)
+        grant t who Debit_lock;
+        let i = intent_of t who in
+        Hashtbl.replace t.intents who { i with add = i.add - amt };
+        record_bound t who;
+        Ok true
+      end
+      else if view < amt && overdraft_holder = None then begin
+        (* NO: overdraft; lock the observation, leave the balance. *)
+        grant t who Overdraft_lock;
+        record_bound t who;
+        Ok false
+      end
+      else
+        (* MAYBE: lock conflicts leave the status ambiguous. *)
+        let holder = if view >= amt then debit_holder else overdraft_holder in
+        Error (`Conflict (capture_conflict holder)))
 
 let credit ?retries t txn amt =
   Retry.run ?retries ~obj:t.key ~name:t.obj_name ~self:txn (fun () ->
@@ -217,7 +218,7 @@ let debit ?retries t txn amt =
 
 let committed_balance t =
   with_lock t (fun () ->
-      List.fold_left (fun b (_, i) -> apply_intent i b) t.bal t.committed)
+    List.fold_left (fun b (_, i) -> apply_intent i b) t.bal t.committed)
 
 let forgotten_balance t = with_lock t (fun () -> t.bal)
 let remembered_intents t = with_lock t (fun () -> List.length t.committed)

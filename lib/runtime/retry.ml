@@ -53,7 +53,9 @@ let restart_pause ~key ~attempt =
     in
     wait ()
 
-let run ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt =
+(* Everything after a first refusal: the wait window, wait-die, the
+   spin-then-park loop and the give-up budget. *)
+let retry_refused ~retries ~on_retry ~obj ~name ~self attempt failure =
   let my_priority = Txn_rt.priority self in
   let my_id = Txn_rt.id self in
   let waiting = ref false in
@@ -94,53 +96,57 @@ let run ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt =
     | `Conflict _ | `Blocked -> ()
   in
   Fun.protect ~finally:leave_wait @@ fun () ->
-  let rec go n =
-    match attempt () with
-    | Ok v -> v
-    | Error failure ->
-      check_wait_die failure;
-      if n >= retries then begin
-        Obs.Metrics.incr m_give_ups;
-        set_restart_hint ~obj ~holder:(-1);
-        die ~name (Printf.sprintf "giving up after %d attempts" n)
-      end;
-      enter_wait ();
-      (* Spin briefly (the holder is usually mid-operation), then park
-         on the contended object until a commit/abort releases it, with
-         the jittered exponential quantum as the timeout backstop — a
-         missed signal degrades to exactly the old backoff sleep, never
-         a stranded waiter (see Sched). *)
-      let early =
-        if n < spin_limit then begin
-          Domain.cpu_relax ();
+  let rec refused n failure =
+    check_wait_die failure;
+    if n >= retries then begin
+      Obs.Metrics.incr m_give_ups;
+      set_restart_hint ~obj ~holder:(-1);
+      die ~name (Printf.sprintf "giving up after %d attempts" n)
+    end;
+    enter_wait ();
+    (* Spin briefly (the holder is usually mid-operation), then park
+       on the contended object until a commit/abort releases it, with
+       the jittered exponential quantum as the timeout backstop — a
+       missed signal degrades to exactly the old backoff sleep, never
+       a stranded waiter (see Sched). *)
+    let early =
+      if n < spin_limit then begin
+        Domain.cpu_relax ();
+        None
+      end
+      else begin
+        (* Register, re-attempt, park: the re-attempt observes any
+           release that beat the registration, so a wake-up can only
+           be missed by a release that will still find our waiter. *)
+        let ticket = Sched.register ~obj ~txn:my_id in
+        match attempt () with
+        | Ok v ->
+          Sched.cancel ticket;
+          Some v
+        | Error f2 ->
+          (try check_wait_die f2
+           with e ->
+             Sched.cancel ticket;
+             raise e);
+          ignore
+            (Sched.park ticket
+               ~timeout:(Backoff.retry_delay ~key:my_id ~attempt:(n - spin_limit))
+              : [ `Woken | `Timeout ]);
           None
-        end
-        else begin
-          (* Register, re-attempt, park: the re-attempt observes any
-             release that beat the registration, so a wake-up can only
-             be missed by a release that will still find our waiter. *)
-          let ticket = Sched.register ~obj ~txn:my_id in
-          match attempt () with
-          | Ok v ->
-            Sched.cancel ticket;
-            Some v
-          | Error f2 ->
-            (try check_wait_die f2
-             with e ->
-               Sched.cancel ticket;
-               raise e);
-            ignore
-              (Sched.park ticket
-                 ~timeout:(Backoff.retry_delay ~key:my_id ~attempt:(n - spin_limit))
-                : [ `Woken | `Timeout ]);
-            None
-        end
-      in
-      (match early with
-      | Some v -> v
-      | None ->
-        Obs.Metrics.incr m_retries;
-        on_retry ();
-        go (n + 1))
-  in
-  go 0
+      end
+    in
+    (match early with
+    | Some v -> v
+    | None ->
+      Obs.Metrics.incr m_retries;
+      on_retry ();
+      go (n + 1))
+  and go n = match attempt () with Ok v -> v | Error failure -> refused n failure in
+  refused 0 failure
+
+(* The uncontended call is one attempt: the wait machinery is set up
+   only after a refusal. *)
+let run ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt =
+  match attempt () with
+  | Ok v -> v
+  | Error failure -> retry_refused ~retries ~on_retry ~obj ~name ~self attempt failure

@@ -4,13 +4,21 @@ type participant = {
   on_abort : unit -> unit;
 }
 
-type status = Active | Committed of Model.Timestamp.t | Aborted
+(* The status and the participant list share one atomic cell, so the
+   decision to commit or abort closes the list in the same step: a
+   participant registered before the decision is notified of it, and a
+   registration after an abort raises instead of joining a list nobody
+   will walk again. *)
+type state =
+  | Active of (int * participant) list (* newest first *)
+  | Committed of Model.Timestamp.t
+  | Aborted
 
 type t = {
   id : int;
   priority : int;
-  mutable status : status;
-  mutable participants : (int * participant) list; (* newest first *)
+  model : Model.Txn.t;
+  state : state Atomic.t;
 }
 
 exception Abort_requested of string
@@ -96,7 +104,7 @@ let fresh ?id ?priority () =
   let id = match id with Some id -> id | None -> fresh_id () in
   let priority = Option.value ~default:id priority in
   register_id id priority;
-  { id; priority; status = Active; participants = [] }
+  { id; priority; model = Model.Txn.make id; state = Atomic.make (Active []) }
 
 let id t = t.id
 let priority t = t.priority
@@ -108,19 +116,29 @@ let priority_of_id id =
     if Atomic.get overflow_count = 0 then None
     else with_overflow (fun () -> Option.map fst (Hashtbl.find_opt overflow id))
 
-let model_txn t = Model.Txn.make t.id
+let model_txn t = t.model
 
 let status t =
-  match t.status with
-  | Active -> `Active
+  match Atomic.get t.state with
+  | Active _ -> `Active
   | Committed ts -> `Committed ts
   | Aborted -> `Aborted
 
-let add_participant t ~key p =
-  if not (List.mem_assoc key t.participants) then
-    t.participants <- (key, p) :: t.participants
+let has_participant t ~key =
+  match Atomic.get t.state with Active ps -> List.mem_assoc key ps | _ -> false
 
-let participant_count t = List.length t.participants
+let rec add_participant t ~key p =
+  match Atomic.get t.state with
+  | Active ps as cur ->
+    if
+      (not (List.mem_assoc key ps))
+      && not (Atomic.compare_and_set t.state cur (Active ((key, p) :: ps)))
+    then add_participant t ~key p
+  | Aborted -> raise (Abort_requested (p.name ^ ": orphan (transaction already aborted)"))
+  | Committed _ -> invalid_arg "Txn_rt.add_participant: transaction already committed"
+
+let participant_count t =
+  match Atomic.get t.state with Active ps -> List.length ps | _ -> 0
 
 let rec cell_deregister cell id =
   let cur = Atomic.get cell in
@@ -142,20 +160,24 @@ let rec cell_deregister cell id =
 
 let deregister t = cell_deregister cells.(t.id land (cap - 1)) t.id
 
-let commit t ts =
-  match t.status with
-  | Active ->
-    t.status <- Committed ts;
-    deregister t;
-    (* Oldest participant first, matching touch order. *)
-    List.iter (fun (_, p) -> p.on_commit ts) (List.rev t.participants)
+(* Oldest participant first, matching touch order. *)
+let rec commit t ts =
+  match Atomic.get t.state with
+  | Active ps as cur ->
+    if Atomic.compare_and_set t.state cur (Committed ts) then begin
+      deregister t;
+      List.iter (fun (_, p) -> p.on_commit ts) (List.rev ps)
+    end
+    else commit t ts
   | Committed _ | Aborted -> invalid_arg "Txn_rt.commit: transaction not active"
 
-let abort t =
-  match t.status with
-  | Active ->
-    t.status <- Aborted;
-    deregister t;
-    List.iter (fun (_, p) -> p.on_abort ()) (List.rev t.participants)
+let rec abort t =
+  match Atomic.get t.state with
+  | Active ps as cur ->
+    if Atomic.compare_and_set t.state cur Aborted then begin
+      deregister t;
+      List.iter (fun (_, p) -> p.on_abort ()) (List.rev ps)
+    end
+    else abort t
   | Aborted -> ()
   | Committed _ -> invalid_arg "Txn_rt.abort: transaction already committed"

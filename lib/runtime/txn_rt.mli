@@ -64,14 +64,28 @@ val fresh_object_key : unit -> int
     registration and leak locks. *)
 
 val add_participant : t -> key:int -> participant -> unit
-(** Register the object identified by [key]; idempotent per key. *)
+(** Register the object identified by [key]; idempotent per key.  An
+    object registers {e before} it records anything for the
+    transaction, so an abort from another domain either finds it in
+    the list or has already closed the list: registering with an
+    aborted transaction raises {!Abort_requested}, and with a committed
+    one [Invalid_argument]. *)
+
+val has_participant : t -> key:int -> bool
+(** Whether the object identified by [key] is registered — lets an
+    object build its participant only on first touch. *)
 
 val participant_count : t -> int
+(** Registered participants of an active transaction; 0 once it has
+    completed. *)
 
 val commit : t -> Model.Timestamp.t -> unit
 (** Mark committed and notify every participant.  Raises
-    [Invalid_argument] if not active. *)
+    [Invalid_argument] if not active.  The status and the participant
+    list change in one atomic step, so a commit and an abort racing
+    from two domains cannot both notify. *)
 
 val abort : t -> unit
 (** Mark aborted and notify every participant.  No-op when already
-    aborted; raises [Invalid_argument] when committed. *)
+    aborted; raises [Invalid_argument] when committed.  Safe to call
+    from a domain other than the one running the transaction. *)

@@ -7,6 +7,14 @@
    with timestamps from a monotone counter, which satisfies the
    precedes-respecting timestamp constraint by construction.
 
+   With [late_commits] a committing transaction draws its timestamp at
+   once but its Commit event is delivered at a later random step, so
+   other commits can land in between and an object sees commit
+   timestamps below its clock — as the runtime does when two domains
+   draw timestamps and distribute commits concurrently.  A timestamp is
+   still drawn before the transaction's Commit, so every transaction
+   that begins after a Commit draws a larger one.
+
    Shared by the lock-machine, compaction and runtime test suites. *)
 
 module Make (A : Spec.Adt_sig.BOUNDED) = struct
@@ -17,9 +25,10 @@ module Make (A : Spec.Adt_sig.BOUNDED) = struct
     txns : int;  (** transaction pool size *)
     steps : int;  (** scheduler steps *)
     abort_bias : int;  (** 1 in [abort_bias] completions aborts *)
+    late_commits : bool;  (** deliver Commit events after later ones *)
   }
 
-  let default = { txns = 3; steps = 18; abort_bias = 4 }
+  let default = { txns = 3; steps = 18; abort_bias = 4; late_commits = false }
 
   (* Returns the generated history (the machine accepted every event). *)
   let generate ?(config = default) (rand : Random.State.t) ~conflict : H.t =
@@ -30,6 +39,7 @@ module Make (A : Spec.Adt_sig.BOUNDED) = struct
     let history = ref [] in
     let clock = ref 0 in
     let completed = Array.make config.txns false in
+    let late = ref [] (* (txn, timestamp) drawn but not yet delivered *) in
     let apply e =
       match L.step !machine e with
       | Ok m ->
@@ -38,7 +48,14 @@ module Make (A : Spec.Adt_sig.BOUNDED) = struct
         true
       | Error _ -> false
     in
+    let deliver k =
+      let ((t, ts) as c) = List.nth !late k in
+      late := List.filter (fun c' -> c' != c) !late;
+      ignore (apply (H.Commit (t, ts)))
+    in
     for _ = 1 to config.steps do
+      if !late <> [] && Random.State.int rand 8 = 0 then
+        deliver (Random.State.int rand (List.length !late));
       let i = Random.State.int rand config.txns in
       let t = Model.Txn.make i in
       if not completed.(i) then
@@ -64,10 +81,14 @@ module Make (A : Spec.Adt_sig.BOUNDED) = struct
               ignore (apply (H.Abort t))
             else begin
               incr clock;
-              ignore (apply (H.Commit (t, !clock)))
+              if config.late_commits then late := (t, !clock) :: !late
+              else ignore (apply (H.Commit (t, !clock)))
             end;
             completed.(i) <- true
           end
+    done;
+    while !late <> [] do
+      deliver (Random.State.int rand (List.length !late))
     done;
     List.rev !history
 end

@@ -246,6 +246,84 @@ let prop_committed_state_agreement =
       in
       go (L.create ~conflict:Q.conflict_hybrid) (C.create ~conflict:Q.conflict_hybrid) h)
 
+(* ---------------- out-of-order commits ---------------- *)
+
+(* The runtime delivers commits out of timestamp order when two domains
+   draw timestamps and distribute them concurrently; an object then
+   rebuilds its committed cache, and every memoised view built on the
+   old cache must be rebuilt too.  Histories with late commits reach
+   that path; Account's responses depend on the state (Overdraft), so a
+   stale view shows up as a different response. *)
+module Late (A : Spec.Adt_sig.BOUNDED) = struct
+  module L = Hybrid.Lock_machine.Make (A)
+  module C = Hybrid.Compacted.Make (A)
+  module G = Histgen.Make (A)
+
+  let config = { G.default with txns = 6; steps = 60; late_commits = true }
+  let txns = List.init config.G.txns (fun i -> Model.Txn.make i)
+
+  let generate seed ~conflict = G.generate ~config (Random.State.make [| seed |]) ~conflict
+
+  (* Some Commit carries a timestamp below an earlier one. *)
+  let out_of_order h =
+    let rec go clock = function
+      | [] -> false
+      | L.H.Commit (_, ts) :: rest -> ts < clock || go (max clock ts) rest
+      | _ :: rest -> go clock rest
+    in
+    go min_int h
+
+  (* Of 200 generated histories, how many commit out of order. *)
+  let out_of_order_count ~conflict =
+    List.length (List.filter (fun seed -> out_of_order (generate seed ~conflict)) (List.init 200 Fun.id))
+
+  let equivalent ~conflict h =
+    let same_states a b =
+      let subset x y = List.for_all (fun s -> List.exists (A.equal_state s) y) x in
+      subset a b && subset b a
+    in
+    let rec go lm cm = function
+      | [] -> true
+      | e :: rest -> (
+        match (L.step lm e, C.step cm e) with
+        | Error a, Error b -> a = b
+        | Ok lm', Ok cm' ->
+          List.for_all
+            (fun t ->
+              let la = L.available_responses lm' t in
+              let ca = C.available_responses cm' t in
+              List.length la = List.length ca && List.for_all2 A.equal_res la ca)
+            txns
+          && same_states (C.committed_states cm') (L.H.Seq.states_after (L.permanent_seq lm'))
+          && same_states (C.version_states cm') (L.H.Seq.states_after (L.common_seq lm'))
+          && go lm' cm' rest
+        | _ -> false)
+    in
+    go (L.create ~conflict) (C.create ~conflict) h
+
+  let prop name ~conflict =
+    QCheck2.Test.make ~name ~count:300
+      QCheck2.Gen.(0 -- 1_000_000)
+      (fun seed -> equivalent ~conflict (generate seed ~conflict))
+end
+
+module LateQ = Late (Q)
+module LateA = Late (A)
+
+let prop_late_commits_queue =
+  LateQ.prop "compacted == formal, late commits, Fifo_queue" ~conflict:Q.conflict_hybrid
+
+let prop_late_commits_account =
+  LateA.prop "compacted == formal, late commits, Account" ~conflict:A.conflict_hybrid
+
+(* The generator must actually produce out-of-order commits, or the two
+   properties above never leave the in-order path. *)
+let test_late_commits_reach_out_of_order () =
+  let q = LateQ.out_of_order_count ~conflict:Q.conflict_hybrid in
+  let a = LateA.out_of_order_count ~conflict:A.conflict_hybrid in
+  check_bool (Printf.sprintf "queue: %d of 200 out of order" q) true (q >= 40);
+  check_bool (Printf.sprintf "account: %d of 200 out of order" a) true (a >= 40)
+
 (* ---------------- compaction actually compacts ---------------- *)
 
 let test_forgets_sequential_txns () =
@@ -306,6 +384,40 @@ let test_abort_releases_horizon () =
   apply (H.Abort p);
   check_int "released by P's abort" 1 (C.forgotten !m)
 
+(* Section 6 exists so that storage stays bounded: with every
+   transaction committed, nothing pins the horizon, and the object keeps
+   no record of the transactions it folded.  Live heap after 500k
+   commits must match the heap after 100k. *)
+module AObj = Runtime.Atomic_obj.Make (A)
+
+let test_live_heap_flat () =
+  let was_enabled = Obs.Control.enabled () in
+  Obs.Control.set_enabled false;
+  Fun.protect ~finally:(fun () -> Obs.Control.set_enabled was_enabled) @@ fun () ->
+  let mgr = Runtime.Manager.create () in
+  let obj = AObj.create ~conflict:A.conflict_hybrid () in
+  let commit n =
+    for _ = 1 to n do
+      Runtime.Manager.run mgr (fun txn -> ignore (AObj.invoke obj txn (A.Credit 1) : A.res))
+    done
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  commit 100_000;
+  let at_100k = live_words () in
+  commit 400_000;
+  let at_500k = live_words () in
+  (* The object and the manager must still be reachable here, or the
+     second measurement would not count them. *)
+  ignore (Sys.opaque_identity (obj, mgr));
+  check_int "every transaction committed" 500_000 (AObj.stats obj).AObj.commits;
+  check_bool
+    (Printf.sprintf "live words %d at 100k commits, %d at 500k" at_100k at_500k)
+    true
+    (abs (at_500k - at_100k) * 10 <= at_100k)
+
 let () =
   Alcotest.run "compaction"
     [
@@ -325,6 +437,12 @@ let () =
             prop_compacted_equivalent;
             prop_compacted_equivalent_rw;
             prop_committed_state_agreement;
+            prop_late_commits_queue;
+            prop_late_commits_account;
+          ]
+        @ [
+            Alcotest.test_case "late commits reach out-of-order delivery" `Quick
+              test_late_commits_reach_out_of_order;
           ] );
       ( "forgetting",
         [
@@ -334,5 +452,7 @@ let () =
             test_active_txn_blocks_forgetting;
           Alcotest.test_case "abort releases the horizon" `Quick
             test_abort_releases_horizon;
+          Alcotest.test_case "live heap stays flat over 500k commits" `Quick
+            test_live_heap_flat;
         ] );
     ]

@@ -118,6 +118,76 @@ let test_runtime_orphan_mid_concurrency () =
   | [ [] ] -> ()
   | _ -> Alcotest.fail "only committed work may survive"
 
+(* An abort from another domain racing an invocation must still reach
+   the object.  [race_aborts] runs [n] transactions through [body] while
+   a killer domain aborts each one after a spin of varying length, so
+   some aborts land before the invocation, some during it and some
+   after; whatever the order, once every transaction is aborted no
+   intention, lock or bound may remain. *)
+let race_aborts ~round ~n body =
+  (* Spin, then sleep, so that the handoffs also make progress when the
+     two domains share one core. *)
+  let await cond =
+    let rec go spins =
+      if not (cond ()) then begin
+        if spins < 1000 then Domain.cpu_relax () else Unix.sleepf 1e-5;
+        go (spins + 1)
+      end
+    in
+    go 0
+  in
+  let victim = Atomic.make None in
+  let killed = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let killer =
+    Domain.spawn (fun () ->
+        let rec loop () =
+          await (fun () -> Atomic.get stop || Option.is_some (Atomic.get victim));
+          match Atomic.exchange victim None with
+          | None -> ()
+          | Some (k, txn) ->
+            for _ = 1 to (k + round) land 63 do
+              Domain.cpu_relax ()
+            done;
+            Runtime.Txn_rt.abort txn;
+            Atomic.incr killed;
+            loop ()
+        in
+        loop ())
+  in
+  for k = 1 to n do
+    let txn = Runtime.Txn_rt.fresh () in
+    Atomic.set victim (Some (k, txn));
+    (try body k txn with Runtime.Txn_rt.Abort_requested _ -> ());
+    await (fun () -> Atomic.get killed >= k)
+  done;
+  Atomic.set stop true;
+  Domain.join killer
+
+let test_runtime_abort_races_invoke () =
+  for round = 1 to 20 do
+    let obj = QObj.create ~conflict:Q.conflict_hybrid () in
+    race_aborts ~round ~n:500 (fun k txn ->
+        ignore (QObj.try_invoke obj txn (Q.Enq k) : (Q.res, _) result));
+    check_int (Printf.sprintf "round %d: live ops" round) 0 (QObj.live_ops obj)
+  done
+
+(* The same race on the appendix's Avalon Account: a Debit on an empty
+   account takes the Overdraft lock, which conflicts with Credit, so a
+   lock left behind by a dead transaction refuses every later Credit. *)
+let test_avalon_abort_races_debit () =
+  let module Av = Runtime.Avalon_account in
+  for round = 1 to 20 do
+    let acct = Av.create () in
+    race_aborts ~round ~n:200 (fun _ txn -> ignore (Av.try_debit acct txn 1));
+    let txn = Runtime.Txn_rt.fresh () in
+    check_bool
+      (Printf.sprintf "round %d: credit after the race" round)
+      true
+      (Result.is_ok (Av.try_credit acct txn 1));
+    Runtime.Txn_rt.abort txn
+  done
+
 let () =
   Alcotest.run "orphans"
     [
@@ -134,5 +204,9 @@ let () =
             test_runtime_orphan_detected;
           Alcotest.test_case "orphans under concurrency" `Quick
             test_runtime_orphan_mid_concurrency;
+          Alcotest.test_case "abort racing an invocation releases the object" `Quick
+            test_runtime_abort_races_invoke;
+          Alcotest.test_case "abort racing an Avalon debit releases its lock" `Quick
+            test_avalon_abort_races_debit;
         ] );
     ]
