@@ -56,15 +56,10 @@ module Make (A : Spec.Adt_sig.S) = struct
 
   let is_aborted t q = Tmap.mem q t.aborted
 
-  let horizon t =
-    let min_bound =
-      Tmap.fold
-        (fun _ b acc -> match acc with None -> Some b | Some m -> Some (Xts.min m b))
-        t.bound None
-    in
-    (* [clock] equals the largest commit timestamp ever seen, so it is
-       exactly Definition 20's max over committed transactions. *)
-    match min_bound with None -> t.clock | Some b -> Xts.min b t.clock
+  (* [clock] equals the largest commit timestamp ever seen, so it is
+     exactly Definition 20's max over committed transactions; folding
+     the bounds into it allocates nothing. *)
+  let horizon t = Tmap.fold (fun _ b hz -> Xts.min b hz) t.bound t.clock
 
   (* Fold the remembered prefix at or below the horizon into the
      version.  [committed_cache] is by definition the version extended by
@@ -146,34 +141,27 @@ module Make (A : Spec.Adt_sig.S) = struct
     in
     go l
 
-  (* The Respond step given the transaction's intentions entry and the
-     view built from it: the legality check's result is the extended
-     view, stored as the new memo. *)
-  let respond t q entry view candidate =
-    match H.Seq.states_after' view [ candidate ] with
-    | [] -> Error L.Illegal_in_view
-    | view -> (
-      match find_conflict t q candidate with
-      | Some (p, op) -> Error (L.Lock_conflict (p, op))
-      | None ->
-        let ops = match entry with Some e -> e.ops | None -> [] in
-        Ok
-          (forget
-             {
-               t with
-               pending = Tmap.remove q t.pending;
-               intentions =
-                 Tmap.add q
-                   { ops = candidate :: ops; view; base = t.committed_cache }
-                   t.intentions;
-               bound = Tmap.add q t.clock t.bound;
-             }))
+  (* Grant [candidate] to [q] — legal in its view, which it extends to
+     [view], and conflicting with no lock held by another transaction:
+     the extended view is stored as the new memo. *)
+  let grant t q entry candidate view =
+    let ops = match entry with Some e -> e.ops | None -> [] in
+    forget
+      {
+        t with
+        pending = Tmap.remove q t.pending;
+        intentions =
+          Tmap.add q { ops = candidate :: ops; view; base = t.committed_cache } t.intentions;
+        bound = Tmap.add q t.clock t.bound;
+      }
+
+  let invoke t q i =
+    let bound = if is_aborted t q then t.bound else Tmap.add q t.clock t.bound in
+    forget { t with pending = Tmap.add q i t.pending; bound }
 
   let step t (event : H.event) =
     match event with
-    | H.Invoke (q, i) ->
-      let bound = if is_aborted t q then t.bound else Tmap.add q t.clock t.bound in
-      Ok (forget { t with pending = Tmap.add q i t.pending; bound })
+    | H.Invoke (q, i) -> Ok (invoke t q i)
     | H.Commit (q, ts) ->
       let entry = Tmap.find_opt q t.intentions in
       let ops = match entry with Some e -> e.ops | None -> [] in
@@ -215,9 +203,15 @@ module Make (A : Spec.Adt_sig.S) = struct
       match Tmap.find_opt q t.pending with
       | None -> Error L.No_pending
       | Some _ when is_aborted t q -> Error L.Already_completed
-      | Some i ->
+      | Some i -> (
         let entry = Tmap.find_opt q t.intentions in
-        respond t q entry (view_of t entry) (i, r))
+        let candidate = (i, r) in
+        match H.Seq.states_after' (view_of t entry) [ candidate ] with
+        | [] -> Error L.Illegal_in_view
+        | view -> (
+          match find_conflict t q candidate with
+          | Some (p, op) -> Error (L.Lock_conflict (p, op))
+          | None -> Ok (grant t q entry candidate view))))
 
   let run ~conflict h =
     let rec go t = function
@@ -227,44 +221,77 @@ module Make (A : Spec.Adt_sig.S) = struct
     in
     go (create ~conflict) h
 
-  (* The distinct responses to [i] from the states of a view. *)
-  let responses view i =
-    List.concat_map (fun s -> List.map fst (A.step s i)) view
-    |> List.fold_left (fun acc r -> if List.exists (A.equal_res r) acc then acc else r :: acc) []
-    |> List.rev
+  (* One pass over a view: every state is stepped once, and the
+     outcomes are grouped by response in order of first appearance, each
+     response with its successor states in order of first appearance —
+     exactly [H.Seq.states_after' view [ (i, r) ]], the view a grant of
+     [r] leaves.  Top-level functions, not closures, so an uncontended
+     invocation allocates only the groups. *)
+  let rec add_outcome r s' = function
+    | [] -> [ (r, [ s' ]) ]
+    | ((r0, ss) as g) :: rest ->
+      if not (A.equal_res r r0) then g :: add_outcome r s' rest
+      else if List.exists (A.equal_state s') ss then g :: rest
+      else (r0, ss @ [ s' ]) :: rest
+
+  let rec add_steps groups = function
+    | [] -> groups
+    | (r, s') :: rest -> add_steps (add_outcome r s' groups) rest
+
+  let rec outcomes_from i groups = function
+    | [] -> groups
+    | s :: rest -> outcomes_from i (add_steps groups (A.step s i)) rest
+
+  let outcomes view i = outcomes_from i [] view
 
   let available_responses t q =
     match Tmap.find_opt q t.pending with
     | None -> []
     | Some _ when is_aborted t q -> []
     | Some i ->
-      let entry = Tmap.find_opt q t.intentions in
-      let view = view_of t entry in
-      List.filter (fun r -> Result.is_ok (respond t q entry view (i, r))) (responses view i)
+      outcomes (view_of t (Tmap.find_opt q t.intentions)) i
+      |> List.filter_map (fun (r, _) ->
+             if Option.is_none (find_conflict t q (i, r)) then Some r else None)
+
+  (* [t] with [q]'s invocation [i] pending: the Invoke step, unless [i]
+     already is — a refused invocation stays pending. *)
+  let invoked t q i =
+    match Tmap.find_opt q t.pending with
+    | Some i' when A.equal_inv i i' -> t
+    | Some _ | None -> invoke t q i
+
+  (* The first grantable group, attributing the last conflict seen.  A
+     grant extends [t] itself: the Invoke it implies would only add the
+     pending entry that the grant removes, and the bound the grant sets
+     anyway. *)
+  let rec grant_first t q entry i conflict = function
+    | [] -> Error (`Conflict conflict, invoked t q i)
+    | (r, view) :: rest -> (
+      let candidate = (i, r) in
+      match find_conflict t q candidate with
+      | Some (p, held) ->
+        grant_first t q entry i
+          (Some { c_holder = p; c_requested = candidate; c_held = held })
+          rest
+      | None -> Ok (r, grant t q entry candidate view))
+
+  let invoke_and_choose t q i =
+    let entry = Tmap.find_opt q t.intentions in
+    match outcomes (view_of t entry) i with
+    | [] -> Error (`Blocked, invoked t q i)
+    | _ when is_aborted t q ->
+      (* An orphan's responses are all refused (Already_completed):
+         a refusal with no holder to name. *)
+      Error (`Conflict None, invoked t q i)
+    | groups -> grant_first t q entry i None groups
 
   let choose_response t q =
     match Tmap.find_opt q t.pending with
     | None -> invalid_arg "Compacted.choose_response: no pending invocation"
-    | Some i ->
-      let entry = Tmap.find_opt q t.intentions in
-      let view = view_of t entry in
-      let candidates = responses view i in
-      if candidates = [] then Error `Blocked
-      else if is_aborted t q then
-        (* An orphan's responses are all refused (Already_completed):
-           a refusal with no holder to name. *)
-        Error (`Conflict None)
-      else
-        let rec try_all conflict = function
-          | [] -> Error (`Conflict conflict)
-          | r :: rest -> (
-            match respond t q entry view (i, r) with
-            | Ok t' -> Ok (r, t')
-            | Error (L.Lock_conflict (p, held)) ->
-              try_all (Some { c_holder = p; c_requested = (i, r); c_held = held }) rest
-            | Error _ -> try_all conflict rest)
-        in
-        try_all None candidates
+    | Some i -> (
+      match invoke_and_choose t q i with
+      | Ok (r, t') -> Ok (r, t')
+      | Error (refusal, _) -> Error refusal)
 
   let pending t q = Tmap.find_opt q t.pending
   let committed_states t = t.committed_cache

@@ -22,9 +22,16 @@
     built on.  The memo is valid exactly when that base is physically
     the current committed state set — an immutable value that only a
     Commit replaces (a fold leaves it alone) — so building a view on the
-    uncontended path costs a pointer comparison, and a granted response
-    extends it with one specification step.  Any other view is rebuilt
-    by replay and memoised afresh on the next grant.
+    uncontended path costs a pointer comparison.  Any other view is
+    rebuilt by replay and memoised afresh on the next grant.
+
+    {b One pass per invocation.}  Choosing a response steps every state
+    of the view once and groups the outcomes by response, in order of
+    first appearance — the candidate order — each with its successor
+    states.  A granted response's group is exactly the view extended by
+    that operation, so it becomes the memo as it is, with no second
+    step.  {!step}'s [Respond], which serves external histories, checks
+    the legality of the response it is given.
 
     {b Completion facts.}  The machine keeps no record of committed
     transactions, so its memory stays proportional to the live state.
@@ -70,12 +77,32 @@ module Make (A : Spec.Adt_sig.S) : sig
     (A.res * t, [ `Blocked | `Conflict of conflict_info option ]) result
   (** Execute the pending invocation of the given transaction: pick the
       first response legal in its view whose lock can be granted, record
-      the operation and return the successor machine.  [`Blocked] — no
+      the operation and return the successor machine.  Candidates come
+      in order of first appearance over the view's states, and the
+      granted one leaves its successor states as the transaction's
+      memoised view.  [`Blocked] — no
       response is legal in the view (partial operation, e.g. [Deq] on an
       empty queue); [`Conflict c] — legal responses exist but every one
       conflicts with a lock held by another active transaction ([c]
       attributes the last such conflict).  This is the entry point used
       by the concurrent runtime. *)
+
+  val invoke_and_choose :
+    t ->
+    Model.Txn.t ->
+    A.inv ->
+    ( A.res * t,
+      [ `Blocked | `Conflict of conflict_info option ] * t )
+    result
+  (** The Invoke step for the given transaction's invocation — skipped
+      when that invocation is already pending, since a refused
+      invocation stays pending — and {!choose_response} on the result,
+      as one successor: [Ok (r, t')] is what stepping [Invoke] and then
+      choosing would give, built without the intermediate machine.
+      [Error (refusal, t')] carries the machine with the invocation
+      pending, which holds the transaction's timestamp lower bound and
+      so must be kept.  [choose_response t q] is this function applied
+      to [q]'s pending invocation. *)
 
   (** {1 Observers} *)
 

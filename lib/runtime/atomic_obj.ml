@@ -188,10 +188,13 @@ module Make (A : Spec.Adt_sig.S) = struct
   let ordered t =
     Option.is_some t.wal || t.record || tracing t || Lockstat.force_slow ()
 
-  (* The one body of every update: [f ordered] runs under the mutex
-     exactly when [ordered] holds, and performs its side effects only
-     then, so the object's trace/log/history stays in machine order. *)
-  let section t f = if ordered t then with_lock t (fun () -> f true) else f false
+  (* The one body of every update: [f t ordered x y] runs under the
+     mutex exactly when [ordered] holds, and performs its side effects
+     only then, so the object's trace/log/history stays in machine order.
+     [f] takes its arguments separately, so an unordered update
+     allocates no closure. *)
+  let section t f x y =
+    if ordered t then with_lock t (fun () -> f t true x y) else f t false x y
 
   let emit t ~txn ev =
     match t.trace with
@@ -354,11 +357,12 @@ module Make (A : Spec.Adt_sig.S) = struct
       | _ -> ()
     end
 
-  (* Every machine update lands through this function.  [f] must be
-     pure in the machine: compute the successor and an outcome, no side
-     effects.  Physical equality short-circuits no-op transitions.
-     [ordered] is the caller's [section] flag, so it also says whether
-     the caller holds the mutex.
+  (* Every machine update lands through this function.  [f t x y m0]
+     must be pure in the machine [m0]: compute the successor and an
+     outcome, no side effects; its arguments come separately, so a
+     publish allocates no closure.  Physical equality short-circuits
+     no-op transitions.  [ordered] is the caller's [section] flag, so it
+     also says whether the caller holds the mutex.
 
      Progress is bounded.  A lost CAS recomputes against the fresher
      value, but after [max_lost_cas] losses the publish takes the object
@@ -379,25 +383,25 @@ module Make (A : Spec.Adt_sig.S) = struct
       exclusive_dropped t (polls - 1)
     end
 
-  let rec publish t ~ordered ~held ~txn f lost =
+  let rec publish t ~ordered ~held ~txn f x y lost =
     if (not held) && Atomic.get t.exclusive && not (exclusive_dropped t exclusive_polls) then
-      exclusively t ~ordered ~txn f
+      exclusively t ~ordered ~txn f x y
     else
       let m0 = Atomic.get t.machine in
-      let m1, out = f m0 in
+      let m1, out = f t x y m0 in
       if m1 == m0 || Atomic.compare_and_set t.machine m0 m1 then begin
         report_fold t ~ordered ~txn m0 m1;
         out
       end
       else if held || lost < max_lost_cas then begin
         Domain.cpu_relax ();
-        publish t ~ordered ~held ~txn f (lost + 1)
+        publish t ~ordered ~held ~txn f x y (lost + 1)
       end
-      else exclusively t ~ordered ~txn f
+      else exclusively t ~ordered ~txn f x y
 
   (* An [ordered] caller already holds the mutex, and no other publish
      can raise the flag while it does. *)
-  and exclusively t ~ordered ~txn f =
+  and exclusively t ~ordered ~txn f x y =
     if not ordered then begin
       Lockstat.count_obj ();
       Mutex.lock t.mutex
@@ -407,12 +411,14 @@ module Make (A : Spec.Adt_sig.S) = struct
       ~finally:(fun () ->
         Atomic.set t.exclusive false;
         if not ordered then Mutex.unlock t.mutex)
-      (fun () -> publish t ~ordered ~held:true ~txn f 0)
+      (fun () -> publish t ~ordered ~held:true ~txn f x y 0)
 
-  let transition t ~ordered ~txn f = publish t ~ordered ~held:false ~txn f 0
+  let transition t ~ordered ~txn f x y = publish t ~ordered ~held:false ~txn f x y 0
 
   (* The pure machine never refuses invoke/commit/abort events. *)
   let accept m event = match C.step m event with Ok m' -> m' | Error _ -> assert false
+
+  let accept_step _ event () m = (accept m event, ())
 
   (* ---- the senior rule ----
 
@@ -450,13 +456,18 @@ module Make (A : Spec.Adt_sig.S) = struct
      transaction's locks, so parked waiters go back to the retry
      scheduler — after the publish, so a woken waiter's re-attempt
      observes the release. *)
-  let complete t ~txn event trace_event count metric =
-    section t (fun ordered ->
-        if ordered then emit t ~txn trace_event;
-        transition t ~ordered ~txn (fun m -> (accept m event, ()));
-        push_event t event;
-        Atomic.incr count;
-        Obs.Metrics.incr metric);
+  let complete_section t ordered txn event =
+    let commit = match event with H.Commit _ -> true | _ -> false in
+    if ordered then
+      emit t ~txn
+        (match event with H.Commit (_, ts) -> Obs.Trace.Commit ts | _ -> Obs.Trace.Abort);
+    transition t ~ordered ~txn accept_step event ();
+    push_event t event;
+    Atomic.incr (if commit then t.commits else t.aborts);
+    Obs.Metrics.incr (if commit then m_commits else m_aborts)
+
+  let complete t ~txn event =
+    section t complete_section txn event;
     clear_senior t txn;
     Sched.notify ~obj:t.key
 
@@ -465,9 +476,8 @@ module Make (A : Spec.Adt_sig.S) = struct
     let txn = Txn_rt.id txn in
     {
       Txn_rt.name = t.name;
-      on_commit =
-        (fun ts -> complete t ~txn (H.Commit (q, ts)) (Obs.Trace.Commit ts) t.commits m_commits);
-      on_abort = (fun () -> complete t ~txn (H.Abort q) Obs.Trace.Abort t.aborts m_aborts);
+      on_commit = (fun ts -> complete t ~txn (H.Commit (q, ts)));
+      on_abort = (fun () -> complete t ~txn (H.Abort q));
     }
 
   (* The wait-die priority travels with the refusal: resolve the
@@ -494,6 +504,85 @@ module Make (A : Spec.Adt_sig.S) = struct
       in
       emit t ~txn (Obs.Trace.Lock_refused { holder; requested; held })
 
+  (* Invoke and choose against one snapshot, published by one CAS.  A
+     refused attempt leaves the invocation pending (the paper retries
+     the response, not the invocation), so only a fresh invocation steps
+     the machine; a refusal still publishes that step — the pending
+     invocation carries the machine's timestamp lower bound for this
+     transaction.  A response the senior rule bars is refused the same
+     way. *)
+  let invoke_step t txn i m0 =
+    let q = Txn_rt.model_txn txn in
+    let fresh = match C.pending m0 q with Some i' -> not (A.equal_inv i i') | None -> true in
+    match C.invoke_and_choose m0 q i with
+    | Ok (r, m2) -> (
+      match barred_by_senior t ~id:(Txn_rt.id txn) ~priority:(Txn_rt.priority txn) i r with
+      | None -> (m2, (fresh, Ok r))
+      | Some s ->
+        let m1 = if fresh then accept m0 (H.Invoke (q, i)) else m0 in
+        (m1, (fresh, Error (`Senior (s, r)))))
+    | Error (((`Blocked | `Conflict _) as e), m1) -> (m1, (fresh, Error e))
+
+  let invoke_section t ordered txn i =
+    let q = Txn_rt.model_txn txn in
+    let qid = Txn_rt.id txn in
+    let priority = Txn_rt.priority txn in
+    let fresh, chosen = transition t ~ordered ~txn:qid invoke_step txn i in
+    if fresh && ordered then begin
+      emit t ~txn:qid (Obs.Trace.Invoke (encode_inv t i));
+      push_event t (H.Invoke (q, i))
+    end;
+    match chosen with
+    | Ok r ->
+      clear_senior t qid;
+      Atomic.incr t.invocations;
+      Obs.Metrics.incr m_invocations;
+      if ordered then begin
+        (* Write-ahead intention: the operation joins the
+           transaction's intentions list in the log the moment it
+           is chosen, under the object mutex — so intentions for
+           one object appear in the log in execution order, and a
+           commit record can only follow every intention it
+           covers. *)
+        (match t.wal with
+        | Some (w, codec) ->
+          Wal.Log.append w
+            (Wal.Log.Intention
+               {
+                 obj = t.name;
+                 txn = qid;
+                 payload = Wal.Codec.encode_op codec (i, r);
+                 cell = t.cell;
+               })
+        | None -> ());
+        push_event t (H.Respond (q, r));
+        emit t ~txn:qid (Obs.Trace.Respond (encode_res t r));
+        emit t ~txn:qid Obs.Trace.Lock_granted
+      end;
+      Ok r
+    | Error `Blocked ->
+      (* A blocked senior waits on the state, not on a lock. *)
+      clear_senior t qid;
+      Atomic.incr t.blocked;
+      Obs.Metrics.incr m_blocked;
+      if ordered then emit t ~txn:qid Obs.Trace.Blocked;
+      Error `Blocked
+    | Error (`Conflict info) ->
+      let conflict = capture_conflict info in
+      (* Older than the holder: wait-die lets it wait, so it
+         becomes a candidate senior. *)
+      (match (info, conflict) with
+      | Some ci, Some { Retry.holder_priority = Some hp; _ } when priority < hp ->
+        record_senior t { s_id = qid; s_priority = priority; s_requested = ci.C.c_requested }
+      | _ -> ());
+      refuse t ~ordered ~txn:qid
+        ~holder:(Option.map (fun c -> c.Retry.holder) conflict)
+        (Option.map (fun ci -> (ci.C.c_requested, ci.C.c_held)) info);
+      Error (`Conflict conflict)
+    | Error (`Senior (s, r)) ->
+      refuse t ~ordered ~txn:qid ~holder:(Some s.s_id) (Some ((i, r), s.s_requested));
+      Error (`Conflict (Some { Retry.holder = s.s_id; holder_priority = Some s.s_priority }))
+
   let try_invoke t txn i =
     (* Orphan detection (the paper's Section 2 allows aborted
        transactions to keep invoking — modelling orphans — and cites
@@ -516,95 +605,25 @@ module Make (A : Spec.Adt_sig.S) = struct
        first touch. *)
     if not (Txn_rt.has_participant txn ~key:t.key) then
       Txn_rt.add_participant txn ~key:t.key (participant t txn);
-    let q = Txn_rt.model_txn txn in
-    let qid = Txn_rt.id txn in
-    let priority = Txn_rt.priority txn in
-    section t (fun ordered ->
-        (* Invoke and choose against one snapshot, published by one
-           CAS.  A refused attempt leaves the invocation pending (the
-           paper retries the response, not the invocation), so only a
-           fresh invocation steps the machine; a refusal still
-           publishes that step — the pending invocation carries the
-           machine's timestamp lower bound for this transaction.  A
-           response the senior rule bars is refused the same way. *)
-        let fresh, chosen =
-          transition t ~ordered ~txn:qid (fun m0 ->
-              let fresh =
-                match C.pending m0 q with Some i' -> not (A.equal_inv i i') | None -> true
-              in
-              let m1 = if fresh then accept m0 (H.Invoke (q, i)) else m0 in
-              match C.choose_response m1 q with
-              | Ok (r, m2) -> (
-                match barred_by_senior t ~id:qid ~priority i r with
-                | None -> (m2, (fresh, Ok r))
-                | Some s -> (m1, (fresh, Error (`Senior (s, r)))))
-              | Error ((`Blocked | `Conflict _) as e) -> (m1, (fresh, Error e)))
-        in
-        if fresh && ordered then begin
-          emit t ~txn:qid (Obs.Trace.Invoke (encode_inv t i));
-          push_event t (H.Invoke (q, i))
-        end;
-        match chosen with
-        | Ok r ->
-          clear_senior t qid;
-          Atomic.incr t.invocations;
-          Obs.Metrics.incr m_invocations;
-          if ordered then begin
-            (* Write-ahead intention: the operation joins the
-               transaction's intentions list in the log the moment it
-               is chosen, under the object mutex — so intentions for
-               one object appear in the log in execution order, and a
-               commit record can only follow every intention it
-               covers. *)
-            (match t.wal with
-            | Some (w, codec) ->
-              Wal.Log.append w
-                (Wal.Log.Intention
-                   {
-                     obj = t.name;
-                     txn = qid;
-                     payload = Wal.Codec.encode_op codec (i, r);
-                     cell = t.cell;
-                   })
-            | None -> ());
-            push_event t (H.Respond (q, r));
-            emit t ~txn:qid (Obs.Trace.Respond (encode_res t r));
-            emit t ~txn:qid Obs.Trace.Lock_granted
-          end;
-          Ok r
-        | Error `Blocked ->
-          (* A blocked senior waits on the state, not on a lock. *)
-          clear_senior t qid;
-          Atomic.incr t.blocked;
-          Obs.Metrics.incr m_blocked;
-          if ordered then emit t ~txn:qid Obs.Trace.Blocked;
-          Error `Blocked
-        | Error (`Conflict info) ->
-          let conflict = capture_conflict info in
-          (* Older than the holder: wait-die lets it wait, so it
-             becomes a candidate senior. *)
-          (match (info, conflict) with
-          | Some ci, Some { Retry.holder_priority = Some hp; _ } when priority < hp ->
-            record_senior t { s_id = qid; s_priority = priority; s_requested = ci.C.c_requested }
-          | _ -> ());
-          refuse t ~ordered ~txn:qid
-            ~holder:(Option.map (fun c -> c.Retry.holder) conflict)
-            (Option.map (fun ci -> (ci.C.c_requested, ci.C.c_held)) info);
-          Error (`Conflict conflict)
-        | Error (`Senior (s, r)) ->
-          refuse t ~ordered ~txn:qid ~holder:(Some s.s_id) (Some ((i, r), s.s_requested));
-          Error (`Conflict (Some { Retry.holder = s.s_id; holder_priority = Some s.s_priority })))
+    section t invoke_section txn i
 
   let invoke ?retries t txn i =
-    let on_retry () = emit t ~txn:(Txn_rt.id txn) Obs.Trace.Retry in
     (* Per-op flight records only at the detail tier: two extra clock
        reads per invocation would eat the always-on recorder's < 5%
        throughput budget. *)
     let detailed = Obs.Span.detailed () in
     let t0 = if detailed then Obs.Clock.now_ns () else 0 in
     let r =
-      Retry.run ?retries ~on_retry ~obj:t.key ~name:t.name ~self:txn (fun () ->
-          try_invoke t txn i)
+      (* [Retry.run] unrolled by its first attempt, so the retry
+         closures exist only once a refusal needs them. *)
+      match try_invoke t txn i with
+      | Ok r -> r
+      | Error failure ->
+        Retry.refused ?retries
+          ~on_retry:(fun () -> emit t ~txn:(Txn_rt.id txn) Obs.Trace.Retry)
+          ~obj:t.key ~name:t.name ~self:txn
+          (fun () -> try_invoke t txn i)
+          failure
     in
     if detailed then begin
       let inv = with_lock t (fun () -> encode_inv t i) in
@@ -660,6 +679,12 @@ module Make (A : Spec.Adt_sig.S) = struct
 
   (* ---- snapshot reads (see Snapshot) ---- *)
 
+  let pin_step _ reader at m = (C.pin m reader at, ())
+  let unpin_step _ reader () m = (C.unpin m reader, ())
+
+  let unpin_section t ordered reader () =
+    transition t ~ordered ~txn:(Model.Txn.id reader) unpin_step reader ()
+
   let snapshot_source t =
     {
       Snapshot.source_name = t.name;
@@ -668,13 +693,8 @@ module Make (A : Spec.Adt_sig.S) = struct
          side effects make it an ordered update like any other. *)
       pin =
         (fun reader at ->
-          transition t ~ordered:false ~txn:(Model.Txn.id reader) (fun m ->
-              (C.pin m reader at, ())));
-      unpin =
-        (fun reader ->
-          section t (fun ordered ->
-              transition t ~ordered ~txn:(Model.Txn.id reader) (fun m ->
-                  (C.unpin m reader, ()))));
+          transition t ~ordered:false ~txn:(Model.Txn.id reader) pin_step reader at);
+      unpin = (fun reader -> section t unpin_section reader ());
     }
 
   let read_at t ~at i =

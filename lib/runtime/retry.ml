@@ -55,7 +55,7 @@ let restart_pause ~key ~attempt =
 
 (* Everything after a first refusal: the wait window, wait-die, the
    spin-then-park loop and the give-up budget. *)
-let retry_refused ~retries ~on_retry ~obj ~name ~self attempt failure =
+let refused ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt failure =
   let my_priority = Txn_rt.priority self in
   let my_id = Txn_rt.id self in
   let waiting = ref false in
@@ -96,7 +96,7 @@ let retry_refused ~retries ~on_retry ~obj ~name ~self attempt failure =
     | `Conflict _ | `Blocked -> ()
   in
   Fun.protect ~finally:leave_wait @@ fun () ->
-  let rec refused n failure =
+  let rec on_refusal n failure =
     check_wait_die failure;
     if n >= retries then begin
       Obs.Metrics.incr m_give_ups;
@@ -141,12 +141,12 @@ let retry_refused ~retries ~on_retry ~obj ~name ~self attempt failure =
       Obs.Metrics.incr m_retries;
       on_retry ();
       go (n + 1))
-  and go n = match attempt () with Ok v -> v | Error failure -> refused n failure in
-  refused 0 failure
+  and go n = match attempt () with Ok v -> v | Error failure -> on_refusal n failure in
+  on_refusal 0 failure
 
 (* The uncontended call is one attempt: the wait machinery is set up
    only after a refusal. *)
-let run ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt =
+let run ?retries ?on_retry ?obj ~name ~self attempt =
   match attempt () with
   | Ok v -> v
-  | Error failure -> retry_refused ~retries ~on_retry ~obj ~name ~self attempt failure
+  | Error failure -> refused ?retries ?on_retry ?obj ~name ~self attempt failure

@@ -60,6 +60,21 @@ val run :
     {!Obs.Metrics} registry ([retry.retries], [retry.wait_die_deaths],
     [retry.give_ups]). *)
 
+val refused :
+  ?retries:int ->
+  ?on_retry:(unit -> unit) ->
+  ?obj:int ->
+  name:string ->
+  self:Txn_rt.t ->
+  (unit -> ('a, [< failure ] as 'f) result) ->
+  'f ->
+  'a
+(** {!run} after its first attempt was refused with the given failure:
+    [run f] is [match f () with Ok v -> v | Error e -> refused f e].  A
+    caller whose first attempt is a direct call builds [on_retry] and
+    the attempt closure only on a refusal, so an uncontended call
+    allocates neither. *)
+
 val restart_pause : key:int -> attempt:int -> unit
 (** The pause between a failed transaction attempt and its restart,
     shared by [Manager.run] and [Dist.Coordinator.run]: the seeded,

@@ -44,8 +44,21 @@ let fresh_object_key () = Atomic.fetch_and_add object_key_counter 1
    are simultaneously live (or a coordinator holds an old [~id] across
    that many draws) — that rare loser takes the mutex-guarded overflow
    table.  [overflow_count] is maintained so lookups skip the table —
-   and its lock — entirely when it is empty. *)
+   and its lock — entirely when it is empty.
+
+   The cells' atomics are allocated in index order, several to a cache
+   line, so the cell of an id is a permutation of [id mod cap] that
+   moves its low [spread_bits] bits to the top: consecutive ids — the
+   live transactions of different domains — sit [cap lsr spread_bits]
+   cells apart, and registering one does not write the line another
+   domain is writing.  Two ids still share a cell exactly when they are
+   congruent mod [cap]. *)
 let cap = 8192 (* power of two *)
+let spread_bits = 3
+
+let cell_index id =
+  let stride = cap lsr spread_bits in
+  ((id land ((1 lsl spread_bits) - 1)) * stride) lor ((id lsr spread_bits) land (stride - 1))
 
 type entry = { e_id : int; e_priority : int; e_refs : int }
 
@@ -96,7 +109,7 @@ let register_id id priority =
              true
            | None -> false)
   in
-  if not in_overflow then cell_register cells.(id land (cap - 1)) id priority
+  if not in_overflow then cell_register cells.(cell_index id) id priority
 
 let fresh_id () = Atomic.fetch_and_add counter 1
 
@@ -110,7 +123,7 @@ let id t = t.id
 let priority t = t.priority
 
 let priority_of_id id =
-  match Atomic.get cells.(id land (cap - 1)) with
+  match Atomic.get cells.(cell_index id) with
   | Some e when e.e_id = id -> Some e.e_priority
   | Some _ | None ->
     if Atomic.get overflow_count = 0 then None
@@ -158,7 +171,7 @@ let rec cell_deregister cell id =
             Atomic.decr overflow_count
           | None -> ())
 
-let deregister t = cell_deregister cells.(t.id land (cap - 1)) t.id
+let deregister t = cell_deregister cells.(cell_index t.id) t.id
 
 (* Oldest participant first, matching touch order. *)
 let rec commit t ts =

@@ -52,6 +52,16 @@ val priority_of_id : int -> int option
     once it completes.  Used by objects to apply wait-die against a lock
     holder they only know by id. *)
 
+val cap : int
+(** Cells of the lock-free priority registry: at most this many live ids
+    resolve without a lock, and two live ids share a cell (the later one
+    takes a mutex-guarded overflow table) exactly when they are
+    congruent mod [cap]. *)
+
+val cell_index : int -> int
+(** The registry cell of an id: a bijection on [id mod cap] that puts
+    consecutive ids on different cache lines. *)
+
 val model_txn : t -> Model.Txn.t
 (** The handle as a formal-model transaction (for history recording). *)
 

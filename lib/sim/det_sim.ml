@@ -61,10 +61,7 @@ module Make (A : Spec.Adt_sig.S) = struct
       let q = fresh_txn () in
       List.iter
         (fun i ->
-          (match C.step !machine (H.Invoke (q, i)) with
-          | Ok m -> machine := m
-          | Error _ -> assert false);
-          match C.choose_response !machine q with
+          match C.invoke_and_choose !machine q i with
           | Ok (_, m) -> machine := m
           | Error _ -> failwith "Det_sim: prefill operation refused")
         prefill;
@@ -141,19 +138,18 @@ module Make (A : Spec.Adt_sig.S) = struct
         end
         else begin
           let inv = List.nth ops w.op_idx in
-          (match C.pending !machine w.txn with
-          | Some i when A.equal_inv i inv -> ()
-          | Some _ | None -> apply (H.Invoke (w.txn, inv)));
-          match C.choose_response !machine w.txn with
+          match C.invoke_and_choose !machine w.txn inv with
           | Ok (_, m) ->
             machine := m;
             last_progress := t;
             w.op_idx <- w.op_idx + 1;
             schedule (t + config.think) wid
-          | Error `Blocked ->
+          | Error (`Blocked, m) ->
+            machine := m;
             incr blocked;
             schedule (t + config.retry_quantum) wid
-          | Error (`Conflict holder) -> (
+          | Error (`Conflict holder, m) -> (
+            machine := m;
             incr conflicts;
             let holder_priority =
               Option.bind holder (fun ci ->

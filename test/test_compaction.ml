@@ -292,7 +292,17 @@ module Late (A : Spec.Adt_sig.BOUNDED) = struct
             (fun t ->
               let la = L.available_responses lm' t in
               let ca = C.available_responses cm' t in
-              List.length la = List.length ca && List.for_all2 A.equal_res la ca)
+              List.length la = List.length ca
+              && List.for_all2 A.equal_res la ca
+              (* the runtime's choice is the first available response *)
+              &&
+              match (C.pending cm' t, la) with
+              | None, _ -> true
+              | Some _, first :: _ -> (
+                match C.choose_response cm' t with
+                | Ok (r, _) -> A.equal_res r first
+                | Error _ -> false)
+              | Some _, [] -> Result.is_error (C.choose_response cm' t))
             txns
           && same_states (C.committed_states cm') (L.H.Seq.states_after (L.permanent_seq lm'))
           && same_states (C.version_states cm') (L.H.Seq.states_after (L.common_seq lm'))
@@ -309,12 +319,20 @@ end
 
 module LateQ = Late (Q)
 module LateA = Late (A)
+module LateS = Late (Adt.Semiqueue)
 
 let prop_late_commits_queue =
   LateQ.prop "compacted == formal, late commits, Fifo_queue" ~conflict:Q.conflict_hybrid
 
 let prop_late_commits_account =
   LateA.prop "compacted == formal, late commits, Account" ~conflict:A.conflict_hybrid
+
+(* Fifo_queue and Account have one response per view state; Semiqueue's
+   [Rem] has one per distinct element, so this property checks the
+   order in which the compacted machine offers several candidates. *)
+let prop_late_commits_semiqueue =
+  LateS.prop "compacted == formal, late commits, Semiqueue"
+    ~conflict:Adt.Semiqueue.conflict_hybrid
 
 (* The generator must actually produce out-of-order commits, or the two
    properties above never leave the in-order path. *)
@@ -439,6 +457,7 @@ let () =
             prop_committed_state_agreement;
             prop_late_commits_queue;
             prop_late_commits_account;
+            prop_late_commits_semiqueue;
           ]
         @ [
             Alcotest.test_case "late commits reach out-of-order delivery" `Quick

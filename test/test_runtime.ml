@@ -475,6 +475,24 @@ let test_senior_cleared_when_blocked () =
   ignore (Runtime.Manager.commit_txn mgr t_old : int);
   check_bool "queue empty" true (QObj.committed_states q = [ [] ])
 
+(* The priority registry's cell map is a bijection on [0, cap), so two
+   ids share a cell exactly when they are congruent mod [cap], and it
+   puts consecutive ids — two domains' live transactions — at least 8
+   cells (two 64-byte cache lines of 16-byte atomics) apart. *)
+let test_registry_cell_map () =
+  let module T = Runtime.Txn_rt in
+  let owner = Array.make T.cap (-1) in
+  for id = 0 to T.cap - 1 do
+    let c = T.cell_index id in
+    if c < 0 || c >= T.cap then Alcotest.failf "id %d: cell %d out of range" id c;
+    if owner.(c) >= 0 then Alcotest.failf "ids %d and %d share cell %d" owner.(c) id c;
+    owner.(c) <- id;
+    if T.cell_index (id + T.cap) <> c then Alcotest.failf "id %d + cap leaves cell %d" id c;
+    if id > 0 && abs (c - T.cell_index (id - 1)) < 8 then
+      Alcotest.failf "ids %d and %d are %d cells apart" (id - 1) id (abs (c - T.cell_index (id - 1)))
+  done;
+  check_bool "every cell owned" true (Array.for_all (fun id -> id >= 0) owner)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -483,6 +501,7 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_txn_lifecycle;
           Alcotest.test_case "abort" `Quick test_txn_abort;
           Alcotest.test_case "priority inheritance" `Quick test_txn_priority_inheritance;
+          Alcotest.test_case "registry cell map" `Quick test_registry_cell_map;
         ] );
       ( "manager",
         [
