@@ -14,8 +14,7 @@
    - fig-4-2  Queue enq+deq transactions under the Figure 4-2 relation
    - fig-4-3  the same workload under the Figure 4-3 relation and RW
    - fig-4-4  SemiQueue ins+rem transactions
-   - fig-4-5  Account transactions: generic engine (hybrid) vs the
-              appendix's Avalon-style affine-intentions implementation
+   - fig-4-5  Account transactions under the hybrid and RW relations
    - fig-7-1  Account transactions under commutativity-based conflicts
    - derivation  cost of deriving each figure's table from its spec
    - compaction  Section 6 ablation: LOCK with vs without compaction *)
@@ -120,20 +119,10 @@ let account_invs = [ Adt.Account.Credit 10; Adt.Account.Debit 5; Adt.Account.Pos
 
 let test_fig_4_5 =
   let generic conflict = Acct_driver.make ~label:"fig-4-5" ~conflict ~txns:[ account_invs ] () in
-  let avalon () =
-    let acc = Runtime.Avalon_account.create () in
-    let mgr = Runtime.Manager.create () in
-    fun () ->
-      Runtime.Manager.run mgr (fun txn ->
-          Runtime.Avalon_account.credit acc txn 10;
-          ignore (Runtime.Avalon_account.debit acc txn 5);
-          Runtime.Avalon_account.post acc txn 1)
-  in
   Test.make_grouped ~name:"fig-4-5-account"
     [
       Test.make ~name:"generic-hybrid"
         (Staged.stage (generic Adt.Account.conflict_hybrid));
-      Test.make ~name:"avalon-affine" (Staged.stage (avalon ()));
       Test.make ~name:"rw-locking" (Staged.stage (generic Adt.Account.conflict_rw));
     ]
 

@@ -112,7 +112,6 @@ let partition_gate_exit tables =
 
 let experiments_cmd id deterministic quick metrics seed wal_dir group_commit domains txns
     think_us key_skew cells gate shards cross_pct =
-  Runtime.Backoff.set_seed seed;
   if gate then Obs.Control.set_enabled true;
   if deterministic then begin
     let tables =
@@ -176,7 +175,6 @@ let experiments_cmd id deterministic quick metrics seed wal_dir group_commit dom
 let trace_cmd id quick conflicts waitfor chrome metrics_json seed domains txns think_us
     key_skew cells =
   Obs.Control.set_enabled true;
-  Runtime.Backoff.set_seed seed;
   let scale =
     if quick then Sim.Experiments.quick_scale else scale_of domains txns think_us
   in
@@ -302,7 +300,6 @@ let recover_cmd path =
   if not all_ok then exit 1
 
 let crash_cmd quick seed dir group_commit domains txns think_us shards cross_pct =
-  Runtime.Backoff.set_seed seed;
   let scale =
     if quick then Sim.Experiments.quick_scale else scale_of domains txns think_us
   in
@@ -328,7 +325,6 @@ let crash_cmd quick seed dir group_commit domains txns think_us shards cross_pct
 let profile_cmd quick seed wal_dir group_commit domains txns think_us shards cross_pct
     detail out report_file slo_specs chrome =
   Obs.Control.set_enabled true;
-  Runtime.Backoff.set_seed seed;
   let targets =
     match Obs.Profile.targets_of_specs slo_specs with
     | Ok ts -> ts
@@ -391,7 +387,6 @@ let serve_sharded quick port duration period_ms seed wal_dir group_commit domain
     inject shards cross_pct =
   Obs.Control.set_enabled true;
   ignore (Obs.Control.install_sigusr2 ());
-  Runtime.Backoff.set_seed seed;
   Obs.Metrics.annotate "run.seed" (string_of_int seed);
   Obs.Metrics.annotate "run.mode" "serve-sharded";
   Obs.Metrics.annotate "run.shards" (string_of_int shards);
@@ -459,10 +454,9 @@ let serve_sharded quick port duration period_ms seed wal_dir group_commit domain
   Sim.Shard_live.close live;
   Format.printf
     "hcc: %d shards served %d committed (%d cross-shard 2PC), %d aborted attempts, %d \
-     cross aborts, %d give-ups@."
+     cross aborts@."
     shards stats.Sim.Shard_live.s_committed stats.Sim.Shard_live.s_cross_commits
-    stats.Sim.Shard_live.s_aborted stats.Sim.Shard_live.s_cross_aborts
-    stats.Sim.Shard_live.s_give_ups;
+    stats.Sim.Shard_live.s_aborted stats.Sim.Shard_live.s_cross_aborts;
   if Obs.Sampler.healthy () then Format.printf "audit: clean (0 violations)@."
   else begin
     Format.eprintf "audit: %d violation(s); last: %s@." (Obs.Sampler.violations ())
@@ -474,7 +468,6 @@ let serve_single quick port duration period_ms seed wal_dir group_commit domains
     inject =
   Obs.Control.set_enabled true;
   ignore (Obs.Control.install_sigusr2 ());
-  Runtime.Backoff.set_seed seed;
   Obs.Metrics.annotate "run.seed" (string_of_int seed);
   Obs.Metrics.annotate "run.mode" "serve";
   let wal =
@@ -546,9 +539,9 @@ let serve_single quick port duration period_ms seed wal_dir group_commit domains
   Option.iter Wal.Log.close wal;
   let stats = Runtime.Manager.stats (Sim.Live.manager live) in
   Format.printf
-    "hcc: served %d epochs; %d committed, %d aborted attempts, %d give-ups@."
+    "hcc: served %d epochs; %d committed, %d aborted attempts@."
     (Sim.Live.epochs live) stats.Runtime.Manager.committed
-    stats.Runtime.Manager.aborted (Sim.Live.give_ups live);
+    stats.Runtime.Manager.aborted;
   if Obs.Sampler.healthy () then Format.printf "audit: clean (0 violations)@."
   else begin
     Format.eprintf "audit: %d violation(s); last: %s@." (Obs.Sampler.violations ())

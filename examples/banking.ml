@@ -17,7 +17,6 @@
 
 module Account = Adt.Account
 module Obj = Runtime.Atomic_obj.Make (Account)
-module Avalon = Runtime.Avalon_account
 
 let n_accounts = 8
 let transfers_per_domain = 100

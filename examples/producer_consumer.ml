@@ -13,8 +13,9 @@
    This example runs the same producer/consumer pipeline over both types
    and prints the conflict counts: the FIFO queue's consumers collide,
    the SemiQueue's do not.  It also demonstrates [`Blocked] handling: a
-   consumer that finds the queue empty simply retries until a producer
-   commits (Deq/Rem are partial operations). *)
+   consumer that finds the queue empty waits until a producer commits
+   (Deq/Rem are partial operations).  The consumers' quotas add up to
+   what the producers make, so every wait ends. *)
 
 module Fifo = Adt.Fifo_queue
 module Semi = Adt.Semiqueue
@@ -41,8 +42,8 @@ let run_fifo () =
         let quota = items_per_producer * producers / consumers in
         for _ = 1 to quota do
           Runtime.Manager.run mgr (fun txn ->
-              (* retries while empty: Deq is a partial operation *)
-              match FifoObj.invoke ~retries:5000 q txn Fifo.Deq with
+              (* waits while empty: Deq is a partial operation *)
+              match FifoObj.invoke q txn Fifo.Deq with
               | Fifo.Val v -> consumed.(c) <- v :: consumed.(c)
               | Fifo.Ok -> assert false)
         done)
@@ -86,7 +87,7 @@ let run_semi () =
         let quota = items_per_producer * producers / consumers in
         for _ = 1 to quota do
           Runtime.Manager.run mgr (fun txn ->
-              match SemiObj.invoke ~retries:5000 q txn Semi.Rem with
+              match SemiObj.invoke q txn Semi.Rem with
               | Semi.Val _ -> ()
               | Semi.Ok -> assert false)
         done)

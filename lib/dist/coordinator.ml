@@ -22,6 +22,7 @@ type ctx = {
   coord : t;
   gid : int;
   prio : int;
+  restart : bool; (* branches are Txn_rt restarts: a commit releases the anchor *)
   mutable branches : (int * Txn_rt.t) list; (* shard index -> branch; newest first *)
 }
 
@@ -71,7 +72,10 @@ let branch ctx shard =
   match List.assoc_opt si ctx.branches with
   | Some b -> b
   | None ->
-    let b = Txn_rt.fresh ~id:ctx.gid ~priority:ctx.prio () in
+    let b =
+      if ctx.restart then Txn_rt.restart ~id:ctx.gid ~priority:ctx.prio ()
+      else Txn_rt.fresh ~id:ctx.gid ~priority:ctx.prio ()
+    in
     ctx.branches <- (si, b) :: ctx.branches;
     b
 
@@ -171,11 +175,18 @@ let two_phase t ctx parts =
       Obs.Metrics.incr m_cross_commits;
       if Obs.Span.enabled () then Obs.Span.cross_commit ~txn:ctx.gid ~ts)
 
-let attempt_once ?priority t body =
+(* One attempt of [body].  [priority] is the first attempt's priority
+   for a restart.  With [anchor], an aborted attempt anchors its
+   transaction before any branch's abort is delivered (see
+   Manager.run). *)
+let attempt_once ~anchor ?priority t body =
   Atomic.incr t.attempts;
   let gid = Txn_rt.fresh_id () in
-  let prio = Option.value ~default:gid priority in
-  let ctx = { coord = t; gid; prio; branches = [] } in
+  let ctx =
+    match priority with
+    | None -> { coord = t; gid; prio = gid; restart = false; branches = [] }
+    | Some prio -> { coord = t; gid; prio; restart = true; branches = [] }
+  in
   (* 0xffff: no single home stripe — this is a coordinator-side span.
      Each branch's marks (all carrying [gid]) fill in the shards. *)
   if Obs.Span.enabled () then Obs.Span.txn_begin ~txn:gid ~shard:0xffff;
@@ -188,8 +199,9 @@ let attempt_once ?priority t body =
   in
   match body ctx with
   | exception Txn_rt.Abort_requested reason ->
+    if anchor then Txn_rt.anchor ~priority:ctx.prio;
     abort_all ();
-    Error (reason, prio)
+    Error (reason, ctx.prio)
   | exception e ->
     abort_all ();
     raise e
@@ -206,33 +218,23 @@ let attempt_once ?priority t body =
       (* Read-nothing transaction: no timestamp was ever drawn. *)
       if Obs.Span.enabled () then Obs.Span.txn_commit ~txn:gid ~ts:0;
       Atomic.incr t.commits;
-      Ok (v, prio)
+      Ok v
     | [ (si, b) ] ->
       (* Single-shard fast path: ordinary local commit, no votes, no
          decision — 2PC costs only appear when a transaction actually
          spans shards. *)
       let _ts : int = Manager.commit_txn (mgr_of t si) b in
       Atomic.incr t.commits;
-      Ok (v, prio)
+      Ok v
     | parts ->
       two_phase t ctx parts;
-      Ok (v, prio))
+      Ok v)
 
 let run_once t body =
-  match attempt_once t body with Ok (v, _) -> Ok v | Error (reason, _) -> Error reason
+  match attempt_once ~anchor:false t body with Ok v -> Ok v | Error (reason, _) -> Error reason
 
-let run ?(max_attempts = 1000) t body =
-  let rec go attempt priority last_reason =
-    if attempt >= max_attempts then
-      raise
-        (Manager.Too_many_attempts
-           (Printf.sprintf "global transaction failed %d times; last: %s" attempt
-              last_reason))
-    else
-      match attempt_once ?priority t body with
-      | Ok (v, _) -> v
-      | Error (reason, prio) ->
-        Runtime.Retry.restart_pause ~key:prio ~attempt;
-        go (attempt + 1) (Some prio) reason
-  in
-  go 0 None "never attempted"
+let run t body =
+  match attempt_once ~anchor:true t body with
+  | Ok v -> v
+  | Error (_, priority) ->
+    Runtime.Retry.until_commit ~priority (fun () -> attempt_once ~anchor:false ~priority t body)

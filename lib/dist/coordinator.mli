@@ -63,11 +63,16 @@ val branch : ctx -> Shard.t -> Runtime.Txn_rt.t
 (** The transaction's branch at a shard (created on first use).  Pass it
     to objects created on that shard, exactly like a local handle. *)
 
-val run : ?max_attempts:int -> t -> (ctx -> 'a) -> 'a
-(** Run a global transaction to commit, with the same abort-and-retry
-    contract as {!Runtime.Manager.run}: {!Runtime.Txn_rt.Abort_requested}
-    aborts every branch (presumed abort — no decision-log write) and
-    retries after backoff, preserving priority.  Raises
+val run : t -> (ctx -> 'a) -> 'a
+(** Run a global transaction until it commits, with the same
+    abort-and-restart contract as {!Runtime.Manager.run}:
+    {!Runtime.Txn_rt.Abort_requested} aborts every branch (presumed
+    abort — no decision-log write) and restarts after
+    {!Runtime.Retry.restart_pause}, preserving priority.  The first
+    attempt's abort anchors the transaction, and the first branch of a
+    restart to commit releases the anchor, so a cross-shard winner can
+    cost a loser one more death while its later branches commit
+    (DESIGN §10).  There is no attempt budget.  Raises
     {!Runtime.Manager.Durability_lost} when the decision record's fate
     is unknown (crash-equivalent: branches stay prepared and pinned;
     recovery resolves them). *)

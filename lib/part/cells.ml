@@ -101,7 +101,7 @@ module Make (A : Spec.Adt_sig.S) = struct
     | None -> fallback t
 
   let try_invoke t txn ~cell:c i = O.try_invoke (target t c) txn i
-  let invoke ?retries t txn ~cell:c i = O.invoke ?retries (target t c) txn i
+  let invoke t txn ~cell:c i = O.invoke (target t c) txn i
 
   let created t =
     let acc = ref [] in

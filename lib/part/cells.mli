@@ -56,7 +56,7 @@ module Make (A : Spec.Adt_sig.S) : sig
   val try_invoke :
     t -> Runtime.Txn_rt.t -> cell:int option -> A.inv -> (A.res, Runtime.Retry.failure) result
 
-  val invoke : ?retries:int -> t -> Runtime.Txn_rt.t -> cell:int option -> A.inv -> A.res
+  val invoke : t -> Runtime.Txn_rt.t -> cell:int option -> A.inv -> A.res
   (** Invoke on the cell at the key ([None] = {!fallback}). *)
 
   val created : t -> (int option * O.t) list

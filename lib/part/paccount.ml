@@ -48,9 +48,9 @@ let create ?name ?record ?trace ?wal ?(conflict = A.conflict_hybrid) ~cells () =
 
 let next_cell t = Atomic.fetch_and_add t.rr 1 mod t.n
 
-let debit ?retries t txn amount =
+let debit t txn amount =
   let start = next_cell t in
-  match C.invoke ?retries t.cells txn ~cell:(Some start) (A.Debit amount) with
+  match C.invoke t.cells txn ~cell:(Some start) (A.Debit amount) with
   | A.Ok -> A.Ok
   | A.Overdraft when amount <= 0 -> A.Overdraft (* unreachable: s >= 0 always *)
   | A.Overdraft ->
@@ -60,7 +60,7 @@ let debit ?retries t txn amount =
       let k = (start + off) mod t.n in
       let probe = ref !remaining in
       while !remaining > 0 && !probe > 0 do
-        match C.invoke ?retries t.cells txn ~cell:(Some k) (A.Debit !probe) with
+        match C.invoke t.cells txn ~cell:(Some k) (A.Debit !probe) with
         | A.Ok ->
           taken.(k) <- taken.(k) + !probe;
           remaining := !remaining - !probe;
@@ -79,19 +79,19 @@ let debit ?retries t txn amount =
          response.  Undo the partial takes within the transaction. *)
       for k = 0 to t.n - 1 do
         if taken.(k) > 0 then
-          ignore (C.invoke ?retries t.cells txn ~cell:(Some k) (A.Credit taken.(k)) : A.res)
+          ignore (C.invoke t.cells txn ~cell:(Some k) (A.Credit taken.(k)) : A.res)
       done;
       A.Overdraft
     end
 
-let invoke ?retries t txn = function
-  | A.Credit n -> C.invoke ?retries t.cells txn ~cell:(Some (next_cell t)) (A.Credit n)
+let invoke t txn = function
+  | A.Credit n -> C.invoke t.cells txn ~cell:(Some (next_cell t)) (A.Credit n)
   | A.Post n ->
     for k = 0 to t.n - 1 do
-      ignore (C.invoke ?retries t.cells txn ~cell:(Some k) (A.Post n) : A.res)
+      ignore (C.invoke t.cells txn ~cell:(Some k) (A.Post n) : A.res)
     done;
     A.Ok
-  | A.Debit n -> debit ?retries t txn n
+  | A.Debit n -> debit t txn n
 
 (* Account is deterministic: every cell's committed-state set is a
    singleton sub-balance; the account balance is their sum. *)

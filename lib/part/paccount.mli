@@ -32,7 +32,7 @@ val create :
 (** [conflict] (default {!Adt.Account.conflict_hybrid}) is installed
     per cell. *)
 
-val invoke : ?retries:int -> t -> Runtime.Txn_rt.t -> A.inv -> A.res
+val invoke : t -> Runtime.Txn_rt.t -> A.inv -> A.res
 (** The client-level operation; see the module doc for how each maps to
     per-cell operations.  Multi-cell paths ([Post], the [Debit] sweep)
     acquire locks across cells and rely on the runtime's wait-die

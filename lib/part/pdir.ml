@@ -25,7 +25,7 @@ let route t i =
   | None -> None
 
 let try_invoke t txn i = C.try_invoke t.cells txn ~cell:(route t i) i
-let invoke ?retries t txn i = C.invoke ?retries t.cells txn ~cell:(route t i) i
+let invoke t txn i = C.invoke t.cells txn ~cell:(route t i) i
 
 (* The merged committed state: each cell holds the present keys hashed
    to it, so the logical directory is the sorted union.  Directory is

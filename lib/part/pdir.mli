@@ -36,7 +36,7 @@ val cell_of_key : t -> int -> int
 (** The cell index a directory key hashes to. *)
 
 val try_invoke : t -> Runtime.Txn_rt.t -> A.inv -> (A.res, Runtime.Retry.failure) result
-val invoke : ?retries:int -> t -> Runtime.Txn_rt.t -> A.inv -> A.res
+val invoke : t -> Runtime.Txn_rt.t -> A.inv -> A.res
 
 val committed_keys : t -> int list
 (** The logical directory contents: sorted union of every cell's

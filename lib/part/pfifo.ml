@@ -44,7 +44,7 @@ let create ?name ?record ?trace ?wal ?(conflict = A.conflict_fig_4_3) () =
   }
 
 let try_invoke t txn i = O.try_invoke t.obj txn i
-let invoke ?retries t txn i = O.invoke ?retries t.obj txn i
+let invoke t txn i = O.invoke t.obj txn i
 let committed_states t = O.committed_states t.obj
 let name t = O.name t.obj
 let stats t = O.stats t.obj

@@ -35,7 +35,7 @@ val create :
     check. *)
 
 val try_invoke : t -> Runtime.Txn_rt.t -> A.inv -> (A.res, Runtime.Retry.failure) result
-val invoke : ?retries:int -> t -> Runtime.Txn_rt.t -> A.inv -> A.res
+val invoke : t -> Runtime.Txn_rt.t -> A.inv -> A.res
 val committed_states : t -> A.state list
 val name : t -> string
 val stats : t -> O.stats

@@ -607,7 +607,7 @@ module Make (A : Spec.Adt_sig.S) = struct
       Txn_rt.add_participant txn ~key:t.key (participant t txn);
     section t invoke_section txn i
 
-  let invoke ?retries t txn i =
+  let invoke t txn i =
     (* Per-op flight records only at the detail tier: two extra clock
        reads per invocation would eat the always-on recorder's < 5%
        throughput budget. *)
@@ -619,7 +619,7 @@ module Make (A : Spec.Adt_sig.S) = struct
       match try_invoke t txn i with
       | Ok r -> r
       | Error failure ->
-        Retry.refused ?retries
+        Retry.refused
           ~on_retry:(fun () -> emit t ~txn:(Txn_rt.id txn) Obs.Trace.Retry)
           ~obj:t.key ~name:t.name ~self:txn
           (fun () -> try_invoke t txn i)

@@ -90,10 +90,12 @@ module Make (A : Spec.Adt_sig.S) : sig
       (partial operation).  On success the operation is recorded and the
       object registered with the transaction handle. *)
 
-  val invoke : ?retries:int -> t -> Txn_rt.t -> A.inv -> A.res
-  (** {!try_invoke} under {!Retry.run}: short-quantum retrying with
-      wait-die deadlock resolution; raises {!Txn_rt.Abort_requested}
-      when the transaction must restart. *)
+  val invoke : t -> Txn_rt.t -> A.inv -> A.res
+  (** {!try_invoke} under {!Retry.run}: waits on a younger holder or a
+      [`Blocked] response, with wait-die deadlock resolution; raises
+      {!Txn_rt.Abort_requested} when the transaction must restart.  A
+      [`Blocked] invocation waits until a commit makes a response
+      legal; a caller that must not wait uses {!try_invoke}. *)
 
   val committed_states : t -> A.state list
   (** The state set reached by all committed transactions' operations in

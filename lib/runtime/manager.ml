@@ -66,7 +66,6 @@ type t = {
   wal : Wal.Log.t option;
 }
 
-exception Too_many_attempts of string
 exception Durability_lost of string
 
 let m_attempts = Obs.Metrics.counter "txn.attempts"
@@ -491,7 +490,11 @@ let decide_abort t txn ~prepared =
   Atomic.incr t.failures;
   Obs.Metrics.incr m_aborts
 
-let attempt_once ?priority t body =
+(* One attempt of [body] as [txn].  With [anchor], an aborted attempt
+   anchors its transaction before the abort reaches any object, so a
+   transaction that lost to it and is woken by that abort finds it still
+   live (see Retry.restart_pause). *)
+let attempt_once ~anchor t txn body =
   Atomic.incr t.attempts;
   Obs.Metrics.incr m_attempts;
   (* Monotonic, like the trace timestamps: attempt latencies must never
@@ -501,7 +504,6 @@ let attempt_once ?priority t body =
     if Obs.Control.enabled () then
       Obs.Metrics.observe h_attempt (Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0))
   in
-  let txn = Txn_rt.fresh ?priority () in
   if Obs.Span.enabled () then
     Obs.Span.txn_begin ~txn:(Txn_rt.id txn) ~shard:t.stripe_index;
   match body txn with
@@ -517,42 +519,28 @@ let attempt_once ?priority t body =
        exit analysis above). *)
     let _ts : int = commit_txn t txn in
     observe_latency ();
-    Ok (v, Txn_rt.priority txn)
+    Ok v
   | exception Txn_rt.Abort_requested reason ->
+    if anchor then Txn_rt.anchor ~priority:(Txn_rt.priority txn);
     abort_txn t txn;
     observe_latency ();
-    Error (reason, Txn_rt.priority txn)
+    Error reason
   | exception e ->
     abort_txn t txn;
     raise e
 
-let run_once t body =
-  match attempt_once t body with
-  | Ok (v, _) -> Ok v
-  | Error (reason, _) -> Error reason
+let run_once t body = attempt_once ~anchor:false t (Txn_rt.fresh ()) body
 
-let run ?(max_attempts = 1000) t body =
-  (* A restarted transaction keeps its first attempt's priority:
-     wait-die's no-starvation argument needs seniority to be stable.
-     The restart delay backs off exponentially with jitter keyed on
-     that stable priority, so the losers of one conflict spread out
-     instead of re-colliding in lockstep (see Retry.restart_pause). *)
-  let rec go attempt priority last_reason =
-    if attempt >= max_attempts then
-      raise
-        (Too_many_attempts
-           (Printf.sprintf "transaction failed %d times; last: %s" attempt last_reason))
-    else
-      match attempt_once ?priority t body with
-      | Ok (v, _) -> v
-      | Error (reason, prio) ->
-        (* The restarted attempt gets a fresh transaction id, so the
-           pause is keyed on the stable priority — the one id every
-           attempt of this transaction shares. *)
-        Retry.restart_pause ~key:prio ~attempt;
-        go (attempt + 1) (Some prio) reason
-  in
-  go 0 None "never attempted"
+let run t body =
+  let first = Txn_rt.fresh () in
+  match attempt_once ~anchor:true t first body with
+  | Ok v -> v
+  | Error _ ->
+    (* Every restart keeps the first attempt's priority: wait-die's
+       no-starvation argument needs seniority to be stable. *)
+    let priority = Txn_rt.priority first in
+    Retry.until_commit ~priority (fun () ->
+        attempt_once ~anchor:false t (Txn_rt.restart ~priority ()) body)
 
 let abort_in ?(reason = "explicit abort") () = raise (Txn_rt.Abort_requested reason)
 

@@ -9,11 +9,11 @@
     the counter is monotonic (paper Section 3.3; Lamport logical
     clocks).
 
-    {!run} executes a transaction body with automatic abort-and-retry:
-    an object wrapper that exhausts its conflict retries raises
+    {!run} executes a transaction body with automatic abort-and-restart:
+    an object wrapper whose invocation dies under wait-die raises
     {!Txn_rt.Abort_requested}; the manager sends abort events to every
     touched object (releasing locks and discarding intentions) and
-    restarts the body. *)
+    restarts the body once the transaction it lost to is done. *)
 
 type t
 
@@ -62,8 +62,6 @@ val stable_time : t -> Model.Timestamp.t
     horizon) therefore cannot hang on an idle shard.  The default
     [(0, 1)] stripe reduces to the classic "clock when idle". *)
 
-exception Too_many_attempts of string
-
 exception Durability_lost of string
 (** The commit record reached the log but its sync failed: the record
     may or may not be on stable storage, so the runtime can report
@@ -76,17 +74,22 @@ exception Durability_lost of string
     before the failure are unaffected (they are durable), and
     subsequent transactions may proceed if the log recovers. *)
 
-val run : ?max_attempts:int -> t -> (Txn_rt.t -> 'a) -> 'a
-(** Run a transaction to commit.  The body may raise
+val run : t -> (Txn_rt.t -> 'a) -> 'a
+(** Run a transaction until it commits.  The body may raise
     {!Txn_rt.Abort_requested} (usually via {!Atomic_obj.Make.invoke}) to
     abort; any other exception aborts the transaction and propagates.
-    Failed attempts restart after {!Retry.restart_pause}: a seeded,
-    jittered exponential backoff, parked on the object a wait-die death
-    lost so that its release cuts the pause short.  After [max_attempts] (default
-    1000) failed attempts raises {!Too_many_attempts}.  With a WAL
-    attached, a post-append sync failure raises {!Durability_lost}
-    without retrying (the attempt's outcome is indeterminate, so a
-    retry could double-commit). *)
+    Every restart keeps the first attempt's priority and follows
+    {!Retry.restart_pause}: after a wait-die death it waits until the
+    transaction it lost to is done, so it dies at most once per older
+    transaction that was live when it began (DESIGN §10); after any
+    other abort it restarts at once.  A first attempt that aborts
+    anchors the transaction ({!Txn_rt.anchor}) before its abort is
+    delivered, and the committing restart releases the anchor.  There
+    is no attempt budget: a body that always aborts restarts for ever,
+    and {!run_once} is the way to make a transaction that may abort for
+    good.  With a WAL attached, a post-append sync failure raises
+    {!Durability_lost} without retrying (the attempt's outcome is
+    indeterminate, so a retry could double-commit). *)
 
 val run_once : t -> (Txn_rt.t -> 'a) -> ('a, string) result
 (** Single attempt, no retry: [Error reason] when the body requested an

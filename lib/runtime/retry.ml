@@ -3,7 +3,6 @@ type failure = [ `Blocked | `Conflict of conflict option ]
 
 let m_retries = Obs.Metrics.counter "retry.retries"
 let m_wait_die = Obs.Metrics.counter "retry.wait_die_deaths"
-let m_give_ups = Obs.Metrics.counter "retry.give_ups"
 
 (* Transactions currently inside a retry loop after at least one
    refusal — the instantaneous contention level the [top] dashboard
@@ -17,45 +16,66 @@ let die ~name reason =
 (* How many attempts spin before parking. *)
 let spin_limit = 10
 
+(* Every park ends at a wake-up from a release of its object.  The
+   timeout only bounds the cost of a wake-up that never comes: the
+   parked loop re-checks and parks again. *)
+let backstop = 1e-3
+
 (* The object the current domain's last dying transaction lost a
-   conflict on, with the transaction it lost to (-1 when unknown).  The
-   death site knows both; the restart loop that catches the abort does
-   not, so the hint carries them across (one transaction runs per
-   domain at a time). *)
-let restart_hint : (int * int) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+   conflict on, with the attempt it lost to, that attempt's priority
+   and the loser's own priority.  The death site knows them all; the
+   restart loop that catches the abort does not, so the hint carries
+   them across (one transaction runs per domain at a time).  A pause
+   heeds only its own transaction's hint, never one left by a death
+   that no restart loop caught. *)
+type hint = { obj : int; holder : int; winner : int; loser : int }
 
-let set_restart_hint ~obj ~holder = Domain.DLS.get restart_hint := Some (obj, holder)
+let restart_hint : hint option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-let restart_pause ~key ~attempt =
-  let delay = Backoff.restart_delay ~key ~attempt in
-  if Obs.Span.enabled () then
-    Obs.Span.backoff ~txn:key ~sleep_ns:(int_of_float (delay *. 1e9));
+(* The winner's transaction is live while the attempt the loser met is,
+   or while the transaction is anchored between its attempts.  The
+   attempt is read first: an aborting first attempt anchors its
+   transaction before it leaves the registry, so a reader that finds
+   the attempt gone finds the anchor. *)
+let winner_live h =
+  Txn_rt.priority_of_id h.holder <> None || Txn_rt.anchored ~priority:h.winner
+
+let restart_pause ~key =
   let hint = Domain.DLS.get restart_hint in
-  let lost = !hint in
-  hint := None;
-  match lost with
-  | None -> Sched.sleep delay
-  | Some (obj, holder) ->
-    (* Park on the lost object until a release after the winner has
-       completed.  Restarting while the winner is still live only dies
-       again, so a wake-up from another release of the object (the
-       abort of another loser, say) parks again.  The delay bounds the
-       pause. *)
-    let deadline = Obs.Clock.now_ns () + int_of_float (delay *. 1e9) in
+  match !hint with
+  | None -> ()
+  | Some h when h.loser <> key -> hint := None
+  | Some h ->
+    hint := None;
+    (* Park on the lost object until a release of it finds the winner's
+       transaction done: restarting while it is live only dies again, so
+       a release that comes while it is live parks again.  The pause
+       waits for a release even when the winner is done already:
+       restarting straight after the winner's commit only collides with
+       the next transaction of the winner's domain. *)
+    let t0 = if Obs.Span.enabled () then Obs.Clock.now_ns () else 0 in
     let rec wait () =
-      let left = deadline - Obs.Clock.now_ns () in
-      if left > 0 then
-        let ticket = Sched.register ~obj ~txn:key in
-        match Sched.park ticket ~timeout:(Obs.Clock.ns_to_s left) with
-        | `Woken when holder >= 0 && Txn_rt.priority_of_id holder <> None -> wait ()
-        | `Woken | `Timeout -> ()
+      let ticket = Sched.register ~obj:h.obj ~txn:key in
+      ignore (Sched.park ticket ~timeout:backstop : [ `Woken | `Timeout ]);
+      if winner_live h then wait ()
     in
-    wait ()
+    wait ();
+    if Obs.Span.enabled () then
+      Obs.Span.backoff ~txn:key ~sleep_ns:(Obs.Clock.now_ns () - t0)
 
-(* Everything after a first refusal: the wait window, wait-die, the
-   spin-then-park loop and the give-up budget. *)
-let refused ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt failure =
+(* Anchored in the registry since its first attempt aborted, the
+   transaction is released by the restart that commits; the [finally]
+   covers the other ends. *)
+let until_commit ~priority attempt =
+  let rec restart () =
+    restart_pause ~key:priority;
+    match attempt () with Ok v -> v | Error _ -> restart ()
+  in
+  Fun.protect ~finally:(fun () -> Txn_rt.release_anchor ~priority) restart
+
+(* Everything after a first refusal: the wait window, wait-die and the
+   spin-then-park loop. *)
+let refused ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt failure =
   let my_priority = Txn_rt.priority self in
   let my_id = Txn_rt.id self in
   let waiting = ref false in
@@ -87,28 +107,21 @@ let refused ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt
   let check_wait_die = function
     | `Conflict (Some { holder; holder_priority = Some hp }) when my_priority > hp ->
       (* Wait-die: the younger transaction dies immediately.  Leave the
-         contended object and the holder as the restart hint, so the
-         restart pause waits for the holder to complete instead of
-         sleeping blind. *)
+         contended object and the winner as the restart hint, so the
+         restart pause waits for the winner's transaction to complete. *)
       Obs.Metrics.incr m_wait_die;
-      set_restart_hint ~obj ~holder;
+      Domain.DLS.get restart_hint := Some { obj; holder; winner = hp; loser = my_priority };
       die ~name (Printf.sprintf "wait-die vs txn %d" holder)
     | `Conflict _ | `Blocked -> ()
   in
   Fun.protect ~finally:leave_wait @@ fun () ->
   let rec on_refusal n failure =
     check_wait_die failure;
-    if n >= retries then begin
-      Obs.Metrics.incr m_give_ups;
-      set_restart_hint ~obj ~holder:(-1);
-      die ~name (Printf.sprintf "giving up after %d attempts" n)
-    end;
     enter_wait ();
     (* Spin briefly (the holder is usually mid-operation), then park
-       on the contended object until a commit/abort releases it, with
-       the jittered exponential quantum as the timeout backstop — a
-       missed signal degrades to exactly the old backoff sleep, never
-       a stranded waiter (see Sched). *)
+       on the contended object until a commit/abort releases it.  A
+       lock wait ends when the younger holder completes; a [`Blocked]
+       wait when a commit makes a response legal. *)
     let early =
       if n < spin_limit then begin
         Domain.cpu_relax ();
@@ -128,10 +141,7 @@ let refused ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt
            with e ->
              Sched.cancel ticket;
              raise e);
-          ignore
-            (Sched.park ticket
-               ~timeout:(Backoff.retry_delay ~key:my_id ~attempt:(n - spin_limit))
-              : [ `Woken | `Timeout ]);
+          ignore (Sched.park ticket ~timeout:backstop : [ `Woken | `Timeout ]);
           None
       end
     in
@@ -146,7 +156,7 @@ let refused ?(retries = 500) ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt
 
 (* The uncontended call is one attempt: the wait machinery is set up
    only after a refusal. *)
-let run ?retries ?on_retry ?obj ~name ~self attempt =
+let run ?on_retry ?obj ~name ~self attempt =
   match attempt () with
   | Ok v -> v
-  | Error failure -> refused ?retries ?on_retry ?obj ~name ~self attempt failure
+  | Error failure -> refused ?on_retry ?obj ~name ~self attempt failure

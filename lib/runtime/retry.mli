@@ -9,14 +9,14 @@
     an {e older} requester waits and retries, a {e younger} one dies
     (raises {!Txn_rt.Abort_requested}) so the manager restarts it with
     its original priority.  Waits-for edges then only point from older
-    to younger transactions, so cycles are impossible, and a restarted
-    transaction eventually becomes the oldest in the system, so it
-    cannot starve.
+    to younger transactions, so cycles are impossible.
 
     Waiting parks on the contended object via {!Sched} (woken by the
-    holder's commit/abort) after a short spin; the jittered
-    exponential backoff ({!Backoff.retry_delay}) remains as each park's
-    timeout backstop. *)
+    holder's commit/abort) after a short spin.  A dead transaction's
+    {!restart_pause} lasts until the transaction it lost to is done, so
+    it dies at most once per older transaction (DESIGN §10).  No wait
+    has a budget: park timeouts only re-check a wake-up that never
+    came. *)
 
 type conflict = {
   holder : int;  (** the lock holder's transaction id *)
@@ -36,19 +36,19 @@ type failure = [ `Blocked | `Conflict of conflict option ]
     holder [c.holder] (when known). *)
 
 val run :
-  ?retries:int ->
   ?on_retry:(unit -> unit) ->
   ?obj:int ->
   name:string ->
   self:Txn_rt.t ->
   (unit -> ('a, [< failure ]) result) ->
   'a
-(** Attempt until [Ok].  Conflicts against a younger holder (or unknown
-    holder, or [`Blocked]) are retried — a brief spin, then register-and-park
-    on the contended object with the seeded, jittered exponential
-    backoff ({!Backoff.retry_delay}, capped ~1ms) as timeout — at most
-    [retries] times (default 500) before dying; conflicts where
-    wait-die says "die" raise {!Txn_rt.Abort_requested} immediately.
+(** Attempt until [Ok].  A conflict where wait-die says "die" (an older
+    holder) raises {!Txn_rt.Abort_requested} at once and leaves [obj]
+    and the winner as the hint for {!restart_pause}.  Any other refusal
+    waits: a brief spin, then register-and-park on [obj] until a
+    release wakes it.  A lock wait ends when the younger holder
+    completes; a [`Blocked] wait (a partial operation) when a commit
+    makes a response legal, so it waits for good if none ever does.
     Each park is preceded by a re-attempt after registration, so a
     release can never slip between the failed attempt and the park.
 
@@ -56,12 +56,10 @@ val run :
     uses it to stamp a [Retry] trace event.  [obj] names the contended
     object for the scheduler's waiter registry and the flight recorder's
     lock-wait span marks (one wait/resume pair per stalled invocation).
-    Retry volume, wait-die deaths and give-ups are also counted in the
-    {!Obs.Metrics} registry ([retry.retries], [retry.wait_die_deaths],
-    [retry.give_ups]). *)
+    Retry volume and wait-die deaths are also counted in the
+    {!Obs.Metrics} registry ([retry.retries], [retry.wait_die_deaths]). *)
 
 val refused :
-  ?retries:int ->
   ?on_retry:(unit -> unit) ->
   ?obj:int ->
   name:string ->
@@ -75,14 +73,24 @@ val refused :
     the attempt closure only on a refusal, so an uncontended call
     allocates neither. *)
 
-val restart_pause : key:int -> attempt:int -> unit
+val until_commit : priority:int -> (unit -> ('a, 'e) result) -> 'a
+(** The restart loop of [Manager.run] and [Dist.Coordinator.run], for
+    a transaction with [priority] whose first attempt aborted and
+    anchored it ({!Txn_rt.anchor}): {!restart_pause}, then the next
+    attempt, until one returns [Ok].  However it ends, the anchor is
+    released: an exception out of an attempt propagates.  There is no
+    attempt budget. *)
+
+val restart_pause : key:int -> unit
 (** The pause between a failed transaction attempt and its restart,
-    shared by [Manager.run] and [Dist.Coordinator.run]: the seeded,
-    jittered {!Backoff.restart_delay} for [key] (the transaction's
-    stable priority) and [attempt].  When the current domain's last
-    {!run} died on a conflict (wait-die or give-up), the pause parks on
-    that object, so a release restarts the transaction at once; a
-    wake-up that comes while the transaction it lost to is still live
-    does not end the pause.  The delay bounds the pause.  The hint is
-    consumed, and a pause with no recorded death sleeps for the
-    delay. *)
+    shared by [Manager.run] and [Dist.Coordinator.run]; [key] is the
+    transaction's priority.  When the current domain's last {!run}
+    died under wait-die as that transaction, the pause parks on the
+    object it lost until a release of the object finds the winner's
+    transaction done: the attempt it lost to has completed, and the
+    winner holds no anchor ({!Txn_rt.anchor}), so a winner that was
+    itself restarted is waited for until it commits.  It parks at least
+    once, even when the winner is done already, and a park that times
+    out re-checks and parks again while the winner is live.  The hint is
+    consumed; a pause with no hint (an explicit or orphan abort)
+    returns at once. *)

@@ -18,8 +18,8 @@
      one atomic read, so the no-conflict fast path stays free.
    - Parking is a timed wait on a per-domain self-pipe
      ([Unix.select] — the stdlib [Condition] has no timed wait), so a
-     missed signal can delay a waiter by at most its backoff quantum,
-     never strand it.  OCaml's runtime locks per domain, so one domain
+     missed signal can delay a waiter by at most its timeout, never
+     strand it.  OCaml's runtime locks per domain, so one domain
      parks at most one transaction at a time and a single self-pipe per
      live domain suffices.
 
@@ -191,14 +191,3 @@ let park w ~timeout =
       Obs.Span.unpark ~txn:w.w_txn ~woken:(match r with `Woken -> true | `Timeout -> false);
     r
   end
-
-(* Timed park without a registration: the restart pause when no
-   conflict hint is available, and any other place that used to
-   [Unix.sleepf] on the transaction path.  Unlike a sleep, the slot can
-   be poked by a stale signal — the caller's loop re-attempts anyway. *)
-let sleep timeout =
-  let slot = my_slot () in
-  drain slot;
-  match Unix.select [ slot.rd ] [] [] timeout with
-  | _ -> drain slot
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

@@ -1,16 +1,15 @@
 (** Retry scheduler: park on conflict, wake on release.
 
-    Replaces the runtime's retry/restart sleeps ([Unix.sleepf] polling)
-    with a park/notify rendezvous: a refused transaction registers a
-    waiter on the contended object, re-attempts once (closing the
-    register/check/park race), and parks on its domain's self-pipe with
-    its backoff quantum as the timeout backstop; the releasing
+    The runtime's waits are a park/notify rendezvous, not sleeps: a
+    refused transaction registers a waiter on the contended object,
+    re-attempts once (closing the register/check/park race), and parks
+    on its domain's self-pipe with a timeout backstop; the releasing
     transaction's commit/abort notifies the object's waiters, delivering
     every one of them itself.  An empty bucket costs a notifier a single
     atomic read; everything is lock-free (see {!Lockstat}).
 
-    Timeouts make every park bounded: a lost or late signal degrades to
-    exactly the pre-rework backoff sleep, never a stranded waiter. *)
+    Timeouts make every park bounded: a lost or late signal costs a
+    waiter at most its timeout, never strands it. *)
 
 type ticket
 
@@ -32,11 +31,6 @@ val park : ticket -> timeout:float -> [ `Woken | `Timeout ]
 val notify : obj:int -> unit
 (** Wake every waiter registered on [obj] (commit/abort release path).
     Empty bucket: one atomic read, no allocation. *)
-
-val sleep : float -> unit
-(** Timed park without a registration (restart delays with no conflict
-    hint).  May return early on a stale signal; callers re-attempt in a
-    loop anyway. *)
 
 type stats = { parks : int; wakes : int; steals : int; timeouts : int; notifies : int }
 (** [steals] always reads 0: wake-ups are delivered by the notifier

@@ -19,6 +19,7 @@ type t = {
   priority : int;
   model : Model.Txn.t;
   state : state Atomic.t;
+  releases_anchor : bool; (* a restart: its commit releases the transaction's anchor *)
 }
 
 exception Abort_requested of string
@@ -113,11 +114,14 @@ let register_id id priority =
 
 let fresh_id () = Atomic.fetch_and_add counter 1
 
-let fresh ?id ?priority () =
+let make ~releases_anchor ?id ?priority () =
   let id = match id with Some id -> id | None -> fresh_id () in
   let priority = Option.value ~default:id priority in
   register_id id priority;
-  { id; priority; model = Model.Txn.make id; state = Atomic.make (Active []) }
+  { id; priority; model = Model.Txn.make id; state = Atomic.make (Active []); releases_anchor }
+
+let fresh ?id ?priority () = make ~releases_anchor:false ?id ?priority ()
+let restart ?id ~priority () = make ~releases_anchor:true ?id ~priority ()
 
 let id t = t.id
 let priority t = t.priority
@@ -173,12 +177,29 @@ let rec cell_deregister cell id =
 
 let deregister t = cell_deregister cells.(cell_index t.id) t.id
 
+(* An anchor is a registration with no attempt behind it, under
+   [lnot priority]: ids are drawn from [0, max_int], so no attempt ever
+   has that id, and the registry's cells stay as dense as without
+   anchors.  It keeps the transaction live between one attempt's abort
+   and the next attempt's commit. *)
+let anchor_id priority = lnot priority
+let anchor ~priority = register_id (anchor_id priority) priority
+let anchored ~priority = priority_of_id (anchor_id priority) <> None
+
+let release_anchor ~priority =
+  let id = anchor_id priority in
+  cell_deregister cells.(cell_index id) id
+
 (* Oldest participant first, matching touch order. *)
 let rec commit t ts =
   match Atomic.get t.state with
   | Active ps as cur ->
     if Atomic.compare_and_set t.state cur (Committed ts) then begin
       deregister t;
+      (* Before any participant: an object's release wakes the
+         transactions that lost to this one, and they must find it
+         gone. *)
+      if t.releases_anchor then release_anchor ~priority:t.priority;
       List.iter (fun (_, p) -> p.on_commit ts) (List.rev ps)
     end
     else commit t ts

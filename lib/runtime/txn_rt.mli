@@ -22,16 +22,17 @@ type participant = {
 }
 
 exception Abort_requested of string
-(** Raised inside a transaction body (e.g. by an object wrapper that
-    exhausted its conflict retries) to abort the transaction; the manager
-    catches it, sends aborts, and may retry the body. *)
+(** Raised inside a transaction body to abort the transaction: by an
+    object wrapper when wait-die kills the transaction or it is already
+    aborted (an orphan), or by the body itself.  The manager catches it,
+    sends aborts, and restarts the body. *)
 
 val fresh : ?id:int -> ?priority:int -> unit -> t
 (** A handle with a process-unique id, in state [`Active].  [priority]
     is the wait-die seniority (smaller = older = wins conflicts); it
     defaults to the fresh id and is preserved by the manager across
-    abort-and-retry so a restarted transaction eventually becomes the
-    oldest in the system and cannot starve.
+    abort-and-restart, so a restarted transaction eventually becomes
+    the oldest in the system and cannot starve.
 
     [id] lets a distributed coordinator give every shard branch of one
     global transaction the {e same} id (drawn once with {!fresh_id}):
@@ -43,6 +44,35 @@ val fresh_id : unit -> int
 (** Draw a process-unique transaction id without creating a handle —
     the global transaction id a coordinator passes to each branch's
     [fresh ~id]. *)
+
+(** {2 Anchors}
+
+    A restarted transaction stays live between its attempts: the
+    restart pause of a transaction that lost to it waits for the whole
+    transaction, not only the attempt it lost to.  Its manager anchors
+    it when its first attempt aborts, and its restarts are made with
+    {!restart}. *)
+
+val anchor : priority:int -> unit
+(** Register the transaction with [priority] in the registry, under an
+    id no attempt draws, so {!anchored} holds until {!release_anchor}.
+    Call it before the aborting attempt's abort reaches any object. *)
+
+val anchored : priority:int -> bool
+(** Whether the transaction with [priority] holds an anchor. *)
+
+val restart : ?id:int -> priority:int -> unit -> t
+(** [fresh ?id ~priority ()] for a restart of an anchored transaction:
+    its {!commit} releases the anchor after the attempt leaves the
+    registry and before any participant is notified.  Its abort leaves
+    the anchor in place. *)
+
+val release_anchor : priority:int -> unit
+(** Release an anchor.  A committing {!restart} has released it
+    already; [Retry.until_commit] calls this when the transaction ends,
+    to cover the ends that commit no restart (an exception out of the body, a
+    lost durability point, a body that touched nothing).  A no-op once
+    released. *)
 
 val id : t -> int
 val priority : t -> int
@@ -90,7 +120,8 @@ val participant_count : t -> int
     completed. *)
 
 val commit : t -> Model.Timestamp.t -> unit
-(** Mark committed and notify every participant.  Raises
+(** Mark committed, leave the registry (and, for a {!restart}, release
+    the anchor), then notify every participant.  Raises
     [Invalid_argument] if not active.  The status and the participant
     list change in one atomic step, so a commit and an abort racing
     from two domains cannot both notify. *)

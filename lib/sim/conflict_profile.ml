@@ -9,8 +9,8 @@
    (the contended-single-key regime), so both ends of the locking
    granularity trade-off are reachable from one knob.  Draws are pure
    hashes of (seed, domain, seq, k) — the same determinism contract as
-   the value generator and Runtime.Backoff's seeding: reruns with one
-   seed reproduce the key sequence exactly. *)
+   the value generator: reruns with one seed reproduce the key sequence
+   exactly. *)
 
 module Keys = struct
   type t = { n : int; skew : float; cdf : float array }

@@ -18,8 +18,7 @@
     large skew concentrates on key 0 (contended-single-key traffic), so
     both locking-granularity regimes are reachable from the [--key-skew]
     knob.  Draws are pure hashes of [(seed, domain, seq, k)] — the same
-    seed-determinism contract as the value generator and
-    [Runtime.Backoff]. *)
+    seed-determinism contract as the value generator. *)
 module Keys : sig
   type t
 

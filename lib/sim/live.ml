@@ -29,7 +29,6 @@ type t = {
      swap.  One full rotation later it is quiescent and auditable. *)
   mutable draining : epoch option;
   epoch_count : int Atomic.t;
-  give_up_count : int Atomic.t;
   stop_flag : bool Atomic.t;
   mutable workers : unit Domain.t list;
 }
@@ -112,9 +111,7 @@ let worker t domain () =
   let n = ref 0 in
   while not (Atomic.get t.stop_flag) do
     let e = Atomic.get t.current in
-    (try run_one t e ~domain ~n:!n with
-    | Runtime.Manager.Too_many_attempts _ -> Atomic.incr t.give_up_count
-    | Runtime.Txn_rt.Abort_requested _ -> Atomic.incr t.give_up_count);
+    run_one t e ~domain ~n:!n;
     incr n;
     think t.config
   done
@@ -145,7 +142,6 @@ let start ?wal config =
       current = Atomic.make (new_epoch mgr config);
       draining = None;
       epoch_count = Atomic.make 1;
-      give_up_count = Atomic.make 0;
       stop_flag = Atomic.make false;
       workers = [];
     }
@@ -198,7 +194,6 @@ let inject_violation t =
 let current_ring t = (Atomic.get t.current).ring
 let manager t = t.mgr
 let epochs t = Atomic.get t.epoch_count
-let give_ups t = Atomic.get t.give_up_count
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin

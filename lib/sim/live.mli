@@ -73,9 +73,5 @@ val manager : t -> Runtime.Manager.t
 val epochs : t -> int
 (** Rotations completed, plus one for the initial epoch. *)
 
-val give_ups : t -> int
-(** Worker transactions abandoned after exhausting manager retries
-    (counted, not fatal: a server must outlive a contention spike). *)
-
 val stop : t -> unit
 (** Signal the workers and join their domains.  Idempotent. *)

@@ -28,7 +28,6 @@ let default_config =
 type t = {
   config : config;
   setup : Shard_exp.setup;
-  give_up_count : int Atomic.t;
   injected : int Atomic.t; (* forged commits emitted *)
   stop_flag : bool Atomic.t;
   mutable workers : unit Domain.t list;
@@ -56,12 +55,8 @@ let worker t domain () =
   in
   let n = ref 0 in
   while not (Atomic.get t.stop_flag) do
-    (try
-       Shard_exp.txn_body t.setup ~config:dcfg ~seed:t.config.seed
-         ~cross_pct:t.config.cross_pct ~shards:t.config.shards ~domain ~seq:!n
-     with
-    | Runtime.Manager.Too_many_attempts _ -> Atomic.incr t.give_up_count
-    | Runtime.Txn_rt.Abort_requested _ -> Atomic.incr t.give_up_count);
+    Shard_exp.txn_body t.setup ~config:dcfg ~seed:t.config.seed ~cross_pct:t.config.cross_pct
+      ~shards:t.config.shards ~domain ~seq:!n;
     incr n
   done
 
@@ -76,7 +71,6 @@ let start ?wal_dir ?(fsync = true) ?(group_commit = true) config =
     {
       config;
       setup;
-      give_up_count = Atomic.make 0;
       injected = Atomic.make 0;
       stop_flag = Atomic.make false;
       workers = [];
@@ -121,7 +115,6 @@ let inject_violation t =
 type stats = {
   s_committed : int;  (** across every shard manager *)
   s_aborted : int;
-  s_give_ups : int;
   s_cross_commits : int;
   s_cross_aborts : int;
   s_injected : int;
@@ -139,7 +132,6 @@ let stats t =
   {
     s_committed = !committed + c.Dist.Coordinator.c_cross_commits;
     s_aborted = !aborted;
-    s_give_ups = Atomic.get t.give_up_count;
     s_cross_commits = c.Dist.Coordinator.c_cross_commits;
     s_cross_aborts = c.Dist.Coordinator.c_aborts;
     s_injected = Atomic.get t.injected;

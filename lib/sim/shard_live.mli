@@ -57,7 +57,6 @@ val shards : t -> int
 type stats = {
   s_committed : int;  (** across every shard manager *)
   s_aborted : int;
-  s_give_ups : int;
   s_cross_commits : int;
   s_cross_aborts : int;
   s_injected : int;

@@ -5,7 +5,7 @@
 
 module A = Adt.Account
 module AObj = Runtime.Atomic_obj.Make (A)
-module Av = Runtime.Avalon_account
+module Av = Avalon_account
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

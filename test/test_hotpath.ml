@@ -1,11 +1,11 @@
-(* Regression tests for the lock-free hot-path rework: the splitmix
-   jitter avalanche (congruent keys must decorrelate), wait-die on the
+(* Regression tests for the lock-free hot-path rework: wait-die on the
    priority captured with the refusal (recycled holder ids must not
    change the verdict), the striped stable_time watermark (an idle shard
    is stable up to the next timestamp it could possibly issue, not just
    its last draw), multi-domain timestamp allocation (residue class,
-   uniqueness, monotone watermark under concurrency), and the park/wake
-   scheduler rendezvous.  The ENOSPC no-wedge behaviour of the in-flight
+   uniqueness, monotone watermark under concurrency), the park/wake
+   scheduler rendezvous, and the restart pause that waits for the
+   winner's transaction.  The ENOSPC no-wedge behaviour of the in-flight
    set is covered by test_wal_group, which must stay green against the
    slot-based implementation. *)
 
@@ -17,32 +17,6 @@ module AObj = Runtime.Atomic_obj.Make (A)
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_prio = Alcotest.(check (option int))
-
-(* ---------------- Backoff.jitter (satellite: weak 16-bit mix) ------- *)
-
-(* The seed implementation kept only the 16 low bits of a linear prime
-   mix, so keys congruent mod 65536 — e.g. transaction ids from two
-   restarts of the same striped workload — got identical jitter on every
-   attempt and woke in lockstep.  The avalanche must spread them. *)
-let test_jitter_spreads_congruent_keys () =
-  let saved = Runtime.Backoff.current_seed () in
-  Runtime.Backoff.set_seed 0;
-  Fun.protect ~finally:(fun () -> Runtime.Backoff.set_seed saved) @@ fun () ->
-  let n = 32 in
-  let vals = List.init n (fun i -> Runtime.Backoff.jitter ~key:(i * 65536) ~attempt:3) in
-  List.iter (fun v -> check_bool "jitter in [0,1)" true (0.0 <= v && v < 1.0)) vals;
-  let distinct = List.length (List.sort_uniq compare vals) in
-  check_bool
-    (Printf.sprintf "congruent keys decorrelate (%d/%d distinct)" distinct n)
-    true (distinct >= 24)
-
-let prop_jitter_range_and_determinism =
-  QCheck2.Test.make ~name:"jitter is deterministic and in [0,1)" ~count:200
-    QCheck2.Gen.(pair (0 -- 1_000_000) (0 -- 20))
-    (fun (key, attempt) ->
-      let a = Runtime.Backoff.jitter ~key ~attempt in
-      let b = Runtime.Backoff.jitter ~key ~attempt in
-      0.0 <= a && a < 1.0 && a = b)
 
 (* ---------------- wait-die on the captured priority ---------------- *)
 
@@ -441,14 +415,30 @@ let test_blocked_txn_woken_by_release () =
 
 (* ---------------- the restart pause ---------------- *)
 
+let parks () = (Runtime.Sched.stats ()).Runtime.Sched.parks
+
+(* Wait until the process has parked more than [since] times in all,
+   or for 5 s without that. *)
+let wait_for_park since =
+  let t0 = Unix.gettimeofday () in
+  while parks () <= since && Unix.gettimeofday () -. t0 < 5.0 do
+    Unix.sleepf 0.001
+  done
+
+(* Run [f] on another domain once the calling domain has parked. *)
+let after_park ~since f =
+  Domain.spawn (fun () ->
+      wait_for_park since;
+      f ())
+
 (* The first attempt of [run] dies under wait-die against an older
-   holder of [q]'s lock; the second attempt completes the holder and
-   then takes the lock.  The pause between them must park on [q] (the
-   hint the death left), the retry must keep the first attempt's
-   priority, and the hint must be consumed: a later pause with no death
-   behind it sleeps instead of parking.  [run] takes the body's
-   transaction handle to the object; [complete_holder] commits the
-   holder through the same manager. *)
+   holder of [q]'s lock.  The pause after it must park on [q] (the hint
+   the death left) until another domain completes the holder, the retry
+   must keep the first attempt's priority and find the holder done, and
+   the hint must be consumed: a later pause with no death behind it
+   returns without parking.  [run] takes the body's transaction handle
+   to the object; [complete_holder] commits the holder through the same
+   manager. *)
 let check_restart_pause ~run ~complete_holder =
   let q = QObj.create ~conflict:Q.conflict_rw () in
   (* Drawn before the body's transaction, so older under wait-die. *)
@@ -456,22 +446,25 @@ let check_restart_pause ~run ~complete_holder =
   (match QObj.try_invoke q holder (Q.Enq 1) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "holder's enq should succeed");
-  let priorities = ref [] in
-  let parks () = (Runtime.Sched.stats ()).Runtime.Sched.parks in
+  let attempts = ref [] in
   let parks0 = parks () in
+  let completer = after_park ~since:parks0 (fun () -> complete_holder holder) in
   let r =
     run (fun txn ->
-        priorities := Runtime.Txn_rt.priority txn :: !priorities;
-        if List.length !priorities = 2 then complete_holder holder;
+        attempts := (Runtime.Txn_rt.priority txn, Runtime.Txn_rt.status holder) :: !attempts;
         QObj.invoke q txn (Q.Enq 2))
   in
+  Domain.join completer;
   check_bool "committed once the holder completed" true (r = Q.Ok);
-  (match !priorities with
-  | [ p2; p1 ] -> check_int "the retry keeps the first attempt's priority" p1 p2
+  (match !attempts with
+  | [ (p2, s2); (p1, s1) ] ->
+    check_int "the retry keeps the first attempt's priority" p1 p2;
+    check_bool "the first attempt met the live holder" true (s1 = `Active);
+    check_bool "the retry began after the holder completed" true (s2 <> `Active)
   | ps -> Alcotest.failf "expected 2 attempts, saw %d" (List.length ps));
   check_bool "the pause parked on the lost object" true (parks () - parks0 >= 1);
   let parks1 = parks () in
-  Runtime.Retry.restart_pause ~key:(List.hd !priorities) ~attempt:0;
+  Runtime.Retry.restart_pause ~key:(fst (List.hd !attempts));
   check_int "the hint was consumed" 0 (parks () - parks1)
 
 let test_restart_pause_manager () =
@@ -491,11 +484,67 @@ let test_restart_pause_coordinator () =
       ignore (Runtime.Manager.commit_txn (Dist.Shard.mgr shard) h : int));
   Dist.Router.close router
 
-(* A wake-up that comes while the transaction that won the conflict is
-   still live does not end the pause: with every waiter woken by each
-   release, restarting into a live winner only dies again.  A domain
-   notifying the object in a loop must not cut the pause short. *)
+(* Notify [q] in a loop for [secs] seconds. *)
+let notify_for q secs =
+  let t0 = Unix.gettimeofday () in
+  let n = ref 0 in
+  while Unix.gettimeofday () -. t0 < secs do
+    Runtime.Sched.notify ~obj:(QObj.key q);
+    incr n;
+    Domain.cpu_relax ()
+  done;
+  !n
+
+(* The pause outlasts every wake-up while the winner's transaction is
+   live, and ends once it is done.  The loser dies against the winner's
+   first attempt; another domain notifies the object in a loop, then
+   aborts that attempt the way [Manager.run] does (anchor first), has a
+   restart of the winner retake the lock, notifies again, and only then
+   commits the restart.  The pause must return after that commit and
+   no sooner. *)
 let test_restart_pause_waits_for_winner () =
+  let mgr = Runtime.Manager.create () in
+  let q = QObj.create ~conflict:Q.conflict_rw () in
+  let winner = Runtime.Txn_rt.fresh () in
+  let priority = Runtime.Txn_rt.priority winner in
+  (match QObj.try_invoke q winner (Q.Enq 1) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "winner's enq should succeed");
+  let loser = Runtime.Txn_rt.fresh () in
+  (match QObj.invoke q loser (Q.Enq 2) with
+  | _ -> Alcotest.fail "the younger transaction should die under wait-die"
+  | exception Runtime.Txn_rt.Abort_requested _ -> ());
+  Runtime.Txn_rt.abort loser;
+  let restart = Atomic.make None in
+  let notifies = ref 0 in
+  let other =
+    after_park ~since:(parks ()) (fun () ->
+        notifies := notify_for q 0.02;
+        Runtime.Txn_rt.anchor ~priority;
+        Runtime.Manager.abort_txn mgr winner;
+        let r = Runtime.Txn_rt.restart ~priority () in
+        Atomic.set restart (Some r);
+        (match QObj.try_invoke q r (Q.Enq 3) with
+        | Ok _ -> ()
+        | Error _ -> failwith "the winner's restart should take the lock");
+        notifies := !notifies + notify_for q 0.02;
+        ignore (Runtime.Manager.commit_txn mgr r : int))
+  in
+  Runtime.Retry.restart_pause ~key:(Runtime.Txn_rt.priority loser);
+  let ended = Option.map Runtime.Txn_rt.status (Atomic.get restart) in
+  Domain.join other;
+  check_bool "the winner's restart had committed when the pause ended" true
+    (match ended with Some (`Committed _) -> true | _ -> false);
+  check_bool (Printf.sprintf "the pause outlasted %d notifies" !notifies) true (!notifies > 0);
+  check_bool "the anchor was released" false (Runtime.Txn_rt.anchored ~priority)
+
+(* A death that no restart loop caught leaves a hint for another
+   transaction: a later pause must not wait for that death's winner.
+   Here the winner stays live until another domain completes it
+   200 ms later, and a transaction that aborts itself once must restart
+   without parking in the meantime. *)
+let test_restart_pause_ignores_stale_hint () =
+  let mgr = Runtime.Manager.create () in
   let q = QObj.create ~conflict:Q.conflict_rw () in
   let winner = Runtime.Txn_rt.fresh () in
   (match QObj.try_invoke q winner (Q.Enq 1) with
@@ -506,28 +555,60 @@ let test_restart_pause_waits_for_winner () =
   | _ -> Alcotest.fail "the younger transaction should die under wait-die"
   | exception Runtime.Txn_rt.Abort_requested _ -> ());
   Runtime.Txn_rt.abort loser;
-  let key = Runtime.Txn_rt.priority loser in
-  let attempt = 8 in
-  let stop = Atomic.make false in
-  let notifier =
+  let completer =
     Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          Runtime.Sched.notify ~obj:(QObj.key q);
-          Domain.cpu_relax ()
-        done)
+        Unix.sleepf 0.2;
+        ignore (Runtime.Manager.commit_txn mgr winner : int))
   in
-  let t0 = Unix.gettimeofday () in
-  Runtime.Retry.restart_pause ~key ~attempt;
-  let waited = Unix.gettimeofday () -. t0 in
-  Atomic.set stop true;
-  Domain.join notifier;
-  Runtime.Txn_rt.abort winner;
-  let delay = Runtime.Backoff.restart_delay ~key ~attempt in
-  check_bool
-    (Printf.sprintf "other releases did not end the pause (%.0f of %.0f us)" (waited *. 1e6)
-       (delay *. 1e6))
-    true
-    (waited >= 0.9 *. delay)
+  let parks0 = parks () in
+  let attempts = ref 0 in
+  Runtime.Manager.run mgr (fun _ ->
+      incr attempts;
+      if !attempts = 1 then Runtime.Manager.abort_in ());
+  let parked = parks () - parks0 in
+  Domain.join completer;
+  check_int "two attempts" 2 !attempts;
+  check_int "the restart did not park" 0 parked
+
+(* Wait-die's progress bound: a transaction that dies against k older
+   holders in turn, each completed by another domain while it pauses,
+   commits within k + 1 attempts. *)
+let test_commits_within_k_plus_one () =
+  let k = 3 in
+  let mgr = Runtime.Manager.create () in
+  let qs = Array.init k (fun _ -> QObj.create ~conflict:Q.conflict_rw ()) in
+  let holders =
+    Array.map
+      (fun q ->
+        let h = Runtime.Txn_rt.fresh () in
+        (match QObj.try_invoke q h (Q.Enq 0) with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "holder's enq should succeed");
+        h)
+      qs
+  in
+  let attempts = Atomic.make 0 in
+  let completer =
+    Domain.spawn (fun () ->
+        Array.iteri
+          (fun i h ->
+            (* Let attempt [i + 1] reach holder [i] and pause on it. *)
+            let since = parks () in
+            while Atomic.get attempts <= i do
+              Domain.cpu_relax ()
+            done;
+            wait_for_park since;
+            Unix.sleepf 0.005;
+            ignore (Runtime.Manager.commit_txn mgr h : int))
+          holders)
+  in
+  Runtime.Manager.run mgr (fun txn ->
+      Atomic.incr attempts;
+      Array.iter (fun q -> ignore (QObj.invoke q txn (Q.Enq 1) : Q.res)) qs);
+  Domain.join completer;
+  let n = Atomic.get attempts in
+  check_bool (Printf.sprintf "committed within k + 1 = %d attempts (%d)" (k + 1) n) true
+    (n <= k + 1)
 
 (* ---------------- fairness on one contended object ---------------- *)
 
@@ -603,12 +684,6 @@ let test_two_domain_fairness () =
 let () =
   Alcotest.run "hotpath"
     [
-      ( "backoff",
-        [
-          Alcotest.test_case "avalanche spreads congruent keys" `Quick
-            test_jitter_spreads_congruent_keys;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_jitter_range_and_determinism ] );
       ( "wait-die",
         [
           Alcotest.test_case "refusal captures holder priority" `Quick
@@ -652,6 +727,8 @@ let () =
           Alcotest.test_case "Manager.run" `Quick test_restart_pause_manager;
           Alcotest.test_case "Coordinator.run" `Quick test_restart_pause_coordinator;
           Alcotest.test_case "waits for the winner" `Quick test_restart_pause_waits_for_winner;
+          Alcotest.test_case "k deaths, k + 1 attempts" `Quick test_commits_within_k_plus_one;
+          Alcotest.test_case "stale hint ignored" `Quick test_restart_pause_ignores_stale_hint;
         ] );
       ( "fairness",
         [ Alcotest.test_case "two domains on one account" `Quick test_two_domain_fairness ] );

@@ -176,7 +176,7 @@ let test_runtime_abort_races_invoke () =
    account takes the Overdraft lock, which conflicts with Credit, so a
    lock left behind by a dead transaction refuses every later Credit. *)
 let test_avalon_abort_races_debit () =
-  let module Av = Runtime.Avalon_account in
+  let module Av = Avalon_account in
   for round = 1 to 20 do
     let acct = Av.create () in
     race_aborts ~round ~n:200 (fun _ txn -> ignore (Av.try_debit acct txn 1));

@@ -100,18 +100,6 @@ let test_manager_retry_on_abort () =
   check_int "stats committed" 1 s.Runtime.Manager.committed;
   check_int "stats aborted" 2 s.Runtime.Manager.aborted
 
-let test_manager_too_many_attempts () =
-  let mgr = Runtime.Manager.create () in
-  Alcotest.(check bool)
-    "raises" true
-    (try
-       let (_ : unit) =
-         Runtime.Manager.run ~max_attempts:3 mgr (fun _ ->
-             if true then Runtime.Manager.abort_in ~reason:"always" ())
-       in
-       false
-     with Runtime.Manager.Too_many_attempts _ -> true)
-
 let test_manager_other_exceptions_propagate () =
   let mgr = Runtime.Manager.create () in
   Alcotest.check_raises "propagates" Exit (fun () ->
@@ -508,7 +496,6 @@ let () =
           Alcotest.test_case "timestamps unique and increasing" `Quick
             test_manager_commit_timestamps_unique_and_increasing;
           Alcotest.test_case "retry on abort" `Quick test_manager_retry_on_abort;
-          Alcotest.test_case "too many attempts" `Quick test_manager_too_many_attempts;
           Alcotest.test_case "exceptions propagate" `Quick
             test_manager_other_exceptions_propagate;
         ] );

@@ -90,8 +90,8 @@ let test_stress_account () =
   check_int "metric txn.attempts" m.Runtime.Manager.started (delta "txn.attempts");
   check_int "metric txn.commits" m.Runtime.Manager.committed (delta "txn.commits");
   check_int "metric txn.aborts" m.Runtime.Manager.aborted (delta "txn.aborts");
-  check_int "every abort is a wait-die death or a give-up" m.Runtime.Manager.aborted
-    (delta "retry.wait_die_deaths" + delta "retry.give_ups");
+  check_int "every abort is a wait-die death" m.Runtime.Manager.aborted
+    (delta "retry.wait_die_deaths");
 
   (* -- history-level reconciliation: the replay-reconstructed history
         is hybrid atomic, and replaying its committed transactions in
