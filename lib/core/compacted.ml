@@ -116,18 +116,24 @@ module Make (A : Spec.Adt_sig.S) = struct
 
   (* [intentions] holds active transactions only (a Respond for a
      completed transaction is refused; Commit and Abort remove the
-     entry), so every other holder is a live lock. *)
+     entry), so every other holder is a live lock.  When [q] is the only
+     holder — the uncontended case — there is nothing to scan, and the
+     scan's closure is never built. *)
   let find_conflict t q candidate =
-    Tmap.fold
-      (fun p e acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if Txn.equal p q then None
-          else
-            List.find_opt (fun op -> t.conflict op candidate) e.ops
-            |> Option.map (fun op -> (p, op)))
-      t.intentions None
+    match Tmap.cardinal t.intentions with
+    | 0 -> None
+    | 1 when Tmap.mem q t.intentions -> None
+    | _ ->
+      Tmap.fold
+        (fun p e acc ->
+          match acc with
+          | Some _ -> acc
+          | None ->
+            if Txn.equal p q then None
+            else
+              List.find_opt (fun op -> t.conflict op candidate) e.ops
+              |> Option.map (fun op -> (p, op)))
+        t.intentions None
 
   type conflict_info = { c_holder : Txn.t; c_requested : op; c_held : op }
 

@@ -15,6 +15,7 @@ type t = {
   cross_commits : int Atomic.t;
   aborts : int Atomic.t;
   ack_failures : int Atomic.t;
+  cross_sync_waits : int Atomic.t;
   mutable on_step : step -> unit;
 }
 
@@ -32,6 +33,7 @@ type stats = {
   c_cross_commits : int;
   c_aborts : int;
   c_ack_failures : int;
+  c_cross_sync_waits : int;
 }
 
 let m_cross_commits = Obs.Metrics.counter "dist.cross_commits"
@@ -46,6 +48,7 @@ let create ?dlog router =
     cross_commits = Atomic.make 0;
     aborts = Atomic.make 0;
     ack_failures = Atomic.make 0;
+    cross_sync_waits = Atomic.make 0;
     on_step = ignore;
   }
 
@@ -60,6 +63,7 @@ let stats t =
     c_cross_commits = Atomic.get t.cross_commits;
     c_aborts = Atomic.get t.aborts;
     c_ack_failures = Atomic.get t.ack_failures;
+    c_cross_sync_waits = Atomic.get t.cross_sync_waits;
   }
 
 let id ctx = ctx.gid
@@ -90,51 +94,70 @@ let record_abort t gid =
   Obs.Metrics.incr m_cross_aborts;
   note_abort t gid
 
-(* Phase 1: prepare every participant in first-touch order.  A branch
-   whose prepare fails never voted (or its vote will be presumed
-   aborted), so the global transaction aborts: already-prepared branches
-   get a decide-abort (releasing their stability pins), the rest plain
-   aborts.  The step hook is called {e outside} the exception match —
-   a raising hook models a coordinator crash and must leave every
-   participant exactly as the protocol did (prepared, pinned, undecided). *)
-let phase1 t ctx parts prepared =
-  let rec go = function
-    | [] -> None
+(* The [(log, lsn)] positions of records the participants appended; a
+   shard without a WAL has none. *)
+let positions t recs =
+  List.filter_map
+    (fun (si, lsn) -> Option.map (fun w -> (w, lsn)) (Manager.wal (mgr_of t si)))
+    recs
+
+(* Phase 1: every participant appends its vote, in first-touch order,
+   and then the votes are forced together — one wait, the logs' fsyncs
+   overlapped ([Wal.Log.sync_all]).  A vote that fails to append or to
+   force aborts the global transaction: every appended vote gets a
+   decide-abort (releasing its stability pin; recovery presumes a vote
+   it finds undecided aborted), the other branches plain aborts.  The
+   [prepared] span marks are emitted here, on the coordinator's own
+   thread after the force, and the step hook is called only once every
+   vote is durable and outside the exception match — a raising hook
+   models a coordinator crash and must leave every participant exactly
+   as the protocol did (prepared, pinned, undecided). *)
+let phase1 t ctx parts =
+  let rec append voted = function
+    | [] -> Ok (List.rev voted)
     | (si, b) :: rest -> (
       match Manager.prepare (mgr_of t si) b ~gtxn:ctx.gid with
-      | pts ->
-        prepared := (si, b, pts) :: !prepared;
-        t.on_step (Prepared si);
-        go rest
+      | pts, lsn -> append ((si, b, pts, lsn) :: voted) rest
       | exception e ->
-        Manager.abort_txn (mgr_of t si) b;
-        List.iter (fun (sj, bj) -> Manager.abort_txn (mgr_of t sj) bj) rest;
-        List.iter
-          (fun (sj, bj, pj) -> Manager.decide_abort (mgr_of t sj) bj ~prepared:pj)
-          !prepared;
-        Some e)
+        List.iter (fun (sj, bj) -> Manager.abort_txn (mgr_of t sj) bj) ((si, b) :: rest);
+        Error (e, voted))
   in
-  go parts
+  let forced =
+    match append [] parts with
+    | Error _ as err -> err
+    | Ok votes -> (
+      let durable = positions t (List.map (fun (si, _, _, lsn) -> (si, lsn)) votes) in
+      match Wal.Log.sync_all durable with
+      | () -> Ok (votes, Bool.to_int (durable <> []))
+      | exception e -> Error (e, votes))
+  in
+  match forced with
+  | Error (e, voted) ->
+    List.iter (fun (si, b, pts, _) -> Manager.decide_abort (mgr_of t si) b ~prepared:pts) voted;
+    Error e
+  | Ok (votes, _) as ok ->
+    if Obs.Span.enabled () then
+      List.iter (fun (si, b, pts, _) -> Obs.Span.prepared ~txn:(Txn_rt.id b) ~shard:si ~ts:pts) votes;
+    List.iter (fun (si, _, _, _) -> t.on_step (Prepared si)) votes;
+    ok
 
 let two_phase t ctx parts =
   (* From here the span is cross-shard: every branch carries the global
      id, so the per-shard prepare/decide marks emitted by the managers
      stitch into this one flight span. *)
   if Obs.Span.enabled () then Obs.Span.cross_begin ~txn:ctx.gid;
-  let prepared = ref [] in
-  match phase1 t ctx parts prepared with
-  | Some e ->
+  match phase1 t ctx parts with
+  | Error e ->
     if Obs.Span.enabled () then Obs.Span.cross_abort ~txn:ctx.gid;
     record_abort t ctx.gid;
     raise e
-  | None -> (
-    let plist = List.rev !prepared in
+  | Ok (votes, vote_waits) -> (
     (* The decided timestamp: max over the participants' prepares.  It
        is one of the prepared timestamps, so it was drawn exactly once,
        from exactly one shard's stripe — globally unique — and it is at
        least every participant's prepared timestamp, so no participant's
        stability pin or previously observed commit is overtaken. *)
-    let ts = List.fold_left (fun acc (_, _, pts) -> max acc pts) 0 plist in
+    let ts = List.fold_left (fun acc (_, _, pts, _) -> max acc pts) 0 votes in
     let decided =
       match t.dlog with
       | None -> Ok ()
@@ -153,23 +176,37 @@ let two_phase t ctx parts =
            (Printf.sprintf "gtxn %d (ts %d): decision appended but not synced: %s" ctx.gid
               ts (Printexc.to_string e)))
     | Ok () ->
-      (* The forced Decide record is the global commit point. *)
+      (* The forced Decide record is the global commit point.  Phase 2
+         waits on nothing: each participant appends its Commit record
+         unforced, and the decision log keeps the decision until every
+         one of those records is durable. *)
       if Obs.Span.enabled () then Obs.Span.decide ~txn:ctx.gid ~ts;
       t.on_step (Decided ts);
       let ack_failed = ref false in
-      List.iter
-        (fun (si, b, pts) ->
-          (try Manager.decide_commit (mgr_of t si) b ~prepared:pts ~ts
-           with _ ->
-             (* Commit applied in memory; only this shard's commit
-                record is not known durable.  The decision log already
-                commits the transaction for recovery — but it must not
-                be forgotten. *)
-             ack_failed := true;
-             Atomic.incr t.ack_failures);
-          t.on_step (Acked si))
-        plist;
-      if not !ack_failed then Option.iter (fun d -> Decision_log.forget d ~gtxn:ctx.gid) t.dlog;
+      let commits =
+        List.filter_map
+          (fun (si, b, pts, _) ->
+            let lsn =
+              try Some (Manager.decide_commit (mgr_of t si) b ~prepared:pts ~ts)
+              with _ ->
+                (* Commit applied in memory; only this shard's commit
+                   record is missing.  The decision log already commits
+                   the transaction for recovery — but it must not be
+                   forgotten. *)
+                ack_failed := true;
+                Atomic.incr t.ack_failures;
+                None
+            in
+            t.on_step (Acked si);
+            Option.map (fun l -> (si, l)) lsn)
+          votes
+      in
+      if not !ack_failed then
+        Option.iter (fun d -> Decision_log.acked d ~gtxn:ctx.gid (positions t commits)) t.dlog;
+      (* The critical path's waits: the votes, forced together, and the
+         decision. *)
+      let waits = vote_waits + Bool.to_int (Option.is_some t.dlog) in
+      ignore (Atomic.fetch_and_add t.cross_sync_waits waits : int);
       Atomic.incr t.commits;
       Atomic.incr t.cross_commits;
       Obs.Metrics.incr m_cross_commits;

@@ -9,13 +9,17 @@
     - {e single-shard} transactions take the ordinary local commit path
       (no votes, no decision record — 2PC costs nothing until a
       transaction actually spans shards);
-    - {e cross-shard} transactions run 2PC: every participant
+    - {e cross-shard} transactions run 2PC on two forced waits, however
+      many shards they span: every participant
       {!Runtime.Manager.prepare}s (drawing its shard's hybrid timestamp
-      and forcing its vote), the coordinator decides
+      and appending its vote) and the votes are forced together
+      ({!Wal.Log.sync_all}); the coordinator decides
       [commit_ts = max(prepared timestamps)] and forces it to the
-      decision log (the global commit point), then every participant
-      {!Runtime.Manager.decide_commit}s at the decided timestamp.  Once
-      all acks are in, the decision is forgotten.
+      decision log (the global commit point); then every participant
+      {!Runtime.Manager.decide_commit}s at the decided timestamp,
+      appending its commit record unforced.  The decision is forgotten
+      once every participant's commit record is durable
+      ({!Decision_log.acked}).
 
     Why max-of-prepares is a valid hybrid timestamp: each prepared
     timestamp exceeds everything its branch observed at its shard, the
@@ -36,10 +40,12 @@ type t
 type ctx
 (** One global transaction attempt. *)
 
-(** Protocol milestones, in order: after the body ran; after each
-    participant's vote; after the decision became durable; after each
-    participant applied and durably logged the decision.  A {!step} hook
-    that raises models a coordinator crash at exactly that point — the
+(** Protocol milestones, in order: after the body ran; once every
+    vote is durable, one [Prepared] per participant in first-touch
+    order; after the decision became durable; after each participant
+    applied the decision and {e appended} its commit record (not yet
+    durable — it rides that log's next sync).  A {!step} hook that
+    raises models a coordinator crash at exactly that point — the
     coordinator performs {e no} cleanup, leaving participants prepared /
     undecided / partially acked for recovery to resolve (the kill-point
     matrix drives this). *)
@@ -47,11 +53,13 @@ type step =
   | Executed
   | Prepared of int  (** shard index *)
   | Decided of Model.Timestamp.t
-  | Acked of int  (** shard index *)
+  | Acked of int  (** shard index: commit record appended *)
 
 val create : ?dlog:Decision_log.t -> Router.t -> t
 (** Without [dlog] the coordinator still runs 2PC in memory (prepares,
-    max decision, decided commits) but nothing survives a crash — for
+    max decision, decided commits) but a crash may lose any cross-shard
+    commit, even on shards with WALs: commit records are not forced,
+    and recovery presumes a vote it finds undecided aborted — for
     non-durable experiments only. *)
 
 val router : t -> Router.t
@@ -94,8 +102,19 @@ type stats = {
   c_cross_commits : int;  (** the subset that ran 2PC *)
   c_aborts : int;
   c_ack_failures : int;
-      (** decided commits whose participant ack failed — their decisions
-          are retained, never forgotten *)
+      (** decided commits where some participant's [decide_commit] raised
+          (its commit record failed to append, or a commit event failed
+          to apply): their decisions are retained, never forgotten.  A
+          commit record whose log later fails to sync is not counted
+          here — that failure surfaces, as
+          {!Runtime.Manager.Durability_lost}, to the committer leading
+          that sync, and the decision stays pending until a sync covers
+          the record. *)
+  c_cross_sync_waits : int;
+      (** forced-write waits on the critical paths of committed
+          cross-shard transactions: 2 each with WALs and a decision log
+          (the votes, forced together, then the decision), whatever the
+          number of participants *)
 }
 
 val stats : t -> stats

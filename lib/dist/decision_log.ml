@@ -5,6 +5,14 @@
    transaction.  An in-doubt participant that finds no decision presumes
    abort — which is why abort needs no forced record, no record at all.
 
+   A commit decision is kept until every participant's Commit record is
+   durable.  Those records are not forced (they ride their logs' next
+   sync), so the writer holds the unacknowledged decisions with the log
+   positions they wait on, and writes [Forget] for each one whose
+   positions have all become durable: checked on every [acked] and at
+   [close].  No timer: an idle participant log keeps its decisions
+   until its next sync.
+
    Alongside the durable log the writer keeps a bounded in-memory
    outcome table (commit decisions and session-scoped abort verdicts):
    the cross-shard audit ([Dist.Audit]) checks observed trace outcomes
@@ -23,6 +31,8 @@ type t = {
      plenty for any audit window, bounded for long-lived servers *)
   mutable cur : (int, outcome) Hashtbl.t;
   mutable prev : (int, outcome) Hashtbl.t;
+  mutable pending : (int * (Wal.Log.t * int) list) list;
+      (* unacknowledged decisions: gtxn -> participant Commit records *)
 }
 
 let create ?(fsync = true) ?(group_commit = true) ?(outcome_cap = 1 lsl 16) path =
@@ -32,6 +42,7 @@ let create ?(fsync = true) ?(group_commit = true) ?(outcome_cap = 1 lsl 16) path
     cap = outcome_cap;
     cur = Hashtbl.create 1024;
     prev = Hashtbl.create 1;
+    pending = [];
   }
 
 let path t = Wal.Log.path t.log
@@ -60,6 +71,26 @@ let decide t ~gtxn ~ts =
 let forget t ~gtxn = Wal.Log.append t.log (Wal.Log.Forget { gtxn })
 let note_abort t ~gtxn = note t gtxn `Abort
 
+let durable (w, lsn) = Wal.Log.durable_lsn w >= lsn
+
+(* Forget every pending decision whose Commit records are all durable.
+   The partition runs under the mutex, so concurrent callers never
+   forget one decision twice. *)
+let reap t =
+  let ready =
+    with_lock t (fun () ->
+        let ready, waiting = List.partition (fun (_, recs) -> List.for_all durable recs) t.pending in
+        t.pending <- waiting;
+        ready)
+  in
+  List.iter (fun (gtxn, _) -> forget t ~gtxn) ready
+
+let acked t ~gtxn recs =
+  with_lock t (fun () -> t.pending <- (gtxn, recs) :: t.pending);
+  reap t
+
+let pending t = with_lock t (fun () -> List.length t.pending)
+
 let outcome t gtxn =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.cur gtxn with
@@ -69,7 +100,23 @@ let outcome t gtxn =
 let decided t gtxn =
   match outcome t gtxn with Some (`Commit ts) -> Some ts | Some `Abort | None -> None
 
-let close t = Wal.Log.close t.log
+(* A clean shutdown forces what its pending decisions wait on, so it
+   forgets all of them.  A participant log that is already closed is
+   durable to its end; one whose sync fails keeps its decision. *)
+let close t =
+  let force (w, lsn) =
+    durable (w, lsn)
+    ||
+    match Wal.Log.sync_upto w lsn with () -> true | exception _ -> false
+  in
+  let pending =
+    with_lock t (fun () ->
+        let p = t.pending in
+        t.pending <- [];
+        List.rev p)
+  in
+  List.iter (fun (gtxn, recs) -> if List.for_all force recs then forget t ~gtxn) pending;
+  Wal.Log.close t.log
 
 (* Recovery side: the surviving commit decisions in a decision-log file.
    [Wal.Recover.decisions] on the parsed records — last write wins per

@@ -5,8 +5,8 @@
     cross-shard transaction).  Abort is the presumption: an in-doubt
     participant finding no decision aborts, so aborts cost the
     coordinator no I/O at all — the presumed-abort optimisation.
-    {!forget} drops a decision once every participant has acknowledged a
-    durable commit record, keeping the log O(unacknowledged decisions).
+    A decision is forgotten once every participant's commit record is
+    durable ({!acked}), keeping the log O(unacknowledged decisions).
 
     The writer also keeps a bounded in-memory outcome table, including
     session-scoped {e abort} verdicts ({!note_abort}) that are never
@@ -34,6 +34,18 @@ val forget : t -> gtxn:int -> unit
 (** Unforced [Forget]: safe only after every participant durably
     committed. *)
 
+val acked : t -> gtxn:int -> (Wal.Log.t * int) list -> unit
+(** Every participant of [gtxn] appended its commit record, at the
+    given [(log, lsn)] positions (unforced).  The decision becomes
+    pending and is forgotten once each position is durable
+    ({!Wal.Log.durable_lsn} has passed it).  Every call, this one
+    included, writes [Forget] for each pending decision that has become
+    forgettable; there is no timer, so a decision waiting on an idle log
+    waits for that log's next sync or for {!close}. *)
+
+val pending : t -> int
+(** Decisions acked but not yet forgotten. *)
+
 val note_abort : t -> gtxn:int -> unit
 (** Record an abort verdict in memory only, for the audit. *)
 
@@ -49,6 +61,9 @@ val decided : t -> int -> int option
 val log : t -> Wal.Log.t
 val path : t -> string
 val close : t -> unit
+(** Force the positions every pending decision waits on (those of a
+    closed log are durable already), forget those decisions, and close
+    the log.  A decision whose log fails to sync stays on disk. *)
 
 val read : string -> (int * int) list
 (** Offline: surviving (gtxn, decided ts) pairs in a decision-log file,

@@ -123,6 +123,7 @@ module Make (A : Spec.Adt_sig.S) = struct
           commits = acc.O.commits + s.O.commits;
           aborts = acc.O.aborts + s.O.aborts;
           forgotten = acc.O.forgotten + s.O.forgotten;
+          max_overtaken = max acc.O.max_overtaken s.O.max_overtaken;
         })
       {
         O.invocations = 0;
@@ -131,6 +132,7 @@ module Make (A : Spec.Adt_sig.S) = struct
         commits = 0;
         aborts = 0;
         forgotten = 0;
+        max_overtaken = 0;
       }
       (created t)
 

@@ -56,6 +56,7 @@ module Make (A : Spec.Adt_sig.S) = struct
     commits : int;
     aborts : int;
     forgotten : int;
+    max_overtaken : int;
   }
 
   (* Process-wide protocol counters; the registry deduplicates by name,
@@ -98,6 +99,7 @@ module Make (A : Spec.Adt_sig.S) = struct
     blocked : int Atomic.t;
     commits : int Atomic.t;
     aborts : int Atomic.t;
+    overtaken : int Atomic.t; (* the most CASes one update has lost *)
     record : bool;
     mutable events : H.event list; (* newest first; only when [record] *)
     trace : Obs.Trace.t option; (* explicit sink; overrides the global one *)
@@ -147,6 +149,7 @@ module Make (A : Spec.Adt_sig.S) = struct
       blocked = Atomic.make 0;
       commits = Atomic.make 0;
       aborts = Atomic.make 0;
+      overtaken = Atomic.make 0;
       record;
       events = [];
       trace;
@@ -358,11 +361,14 @@ module Make (A : Spec.Adt_sig.S) = struct
     end
 
   (* Every machine update lands through this function.  [f t x y m0]
-     must be pure in the machine [m0]: compute the successor and an
-     outcome, no side effects; its arguments come separately, so a
-     publish allocates no closure.  Physical equality short-circuits
-     no-op transitions.  [ordered] is the caller's [section] flag, so it
-     also says whether the caller holds the mutex.
+     must be pure in the machine [m0]: compute an outcome holding the
+     successor, which [machine] projects out, with no side effects.  Its
+     arguments come separately, so a publish allocates no closure, and
+     the outcome is the step's own value (the machine itself, or the
+     machine's result), so it allocates no pair either.  Physical
+     equality short-circuits no-op transitions.  [ordered] is the
+     caller's [section] flag, so it also says whether the caller holds
+     the mutex.
 
      Progress is bounded.  A lost CAS recomputes against the fresher
      value, but after [max_lost_cas] losses the publish takes the object
@@ -372,9 +378,15 @@ module Make (A : Spec.Adt_sig.S) = struct
      publishes already past their check can still beat the holder, at
      most one per other domain, so a step that is slow to compute (a
      view rebuild, a fold that replays many commits) cannot be starved
-     by a stream of cheap ones.  Invoke, commit, abort, pin and unpin
-     all follow this one rule.  The uncontended path allocates nothing
-     here beyond what [f] returns. *)
+     by a stream of cheap ones: an update loses at most [max_lost_cas]
+     plus one CAS per other domain, and [overtaken] keeps the most any
+     update has lost.  Invoke, commit, abort, pin and unpin all follow
+     this one rule.  The uncontended path allocates nothing here beyond
+     what [f] returns. *)
+  let rec note_overtaken t lost =
+    let cur = Atomic.get t.overtaken in
+    if lost > cur && not (Atomic.compare_and_set t.overtaken cur lost) then note_overtaken t lost
+
   let rec exclusive_dropped t polls =
     if not (Atomic.get t.exclusive) then true
     else if polls = 0 then false
@@ -383,25 +395,27 @@ module Make (A : Spec.Adt_sig.S) = struct
       exclusive_dropped t (polls - 1)
     end
 
-  let rec publish t ~ordered ~held ~txn f x y lost =
+  let rec publish t ~ordered ~held ~txn f machine x y lost =
     if (not held) && Atomic.get t.exclusive && not (exclusive_dropped t exclusive_polls) then
-      exclusively t ~ordered ~txn f x y
+      exclusively t ~ordered ~txn f machine x y lost
     else
       let m0 = Atomic.get t.machine in
-      let m1, out = f t x y m0 in
+      let out = f t x y m0 in
+      let m1 = machine out in
       if m1 == m0 || Atomic.compare_and_set t.machine m0 m1 then begin
+        if lost > 0 then note_overtaken t lost;
         report_fold t ~ordered ~txn m0 m1;
         out
       end
       else if held || lost < max_lost_cas then begin
         Domain.cpu_relax ();
-        publish t ~ordered ~held ~txn f x y (lost + 1)
+        publish t ~ordered ~held ~txn f machine x y (lost + 1)
       end
-      else exclusively t ~ordered ~txn f x y
+      else exclusively t ~ordered ~txn f machine x y lost
 
   (* An [ordered] caller already holds the mutex, and no other publish
      can raise the flag while it does. *)
-  and exclusively t ~ordered ~txn f x y =
+  and exclusively t ~ordered ~txn f machine x y lost =
     if not ordered then begin
       Lockstat.count_obj ();
       Mutex.lock t.mutex
@@ -411,14 +425,18 @@ module Make (A : Spec.Adt_sig.S) = struct
       ~finally:(fun () ->
         Atomic.set t.exclusive false;
         if not ordered then Mutex.unlock t.mutex)
-      (fun () -> publish t ~ordered ~held:true ~txn f x y 0)
+      (fun () -> publish t ~ordered ~held:true ~txn f machine x y lost)
 
-  let transition t ~ordered ~txn f x y = publish t ~ordered ~held:false ~txn f x y 0
+  let transition t ~ordered ~txn f machine x y =
+    publish t ~ordered ~held:false ~txn f machine x y 0
+
+  (* The projection for steps whose outcome is the machine itself. *)
+  let itself (m : C.t) = m
 
   (* The pure machine never refuses invoke/commit/abort events. *)
   let accept m event = match C.step m event with Ok m' -> m' | Error _ -> assert false
 
-  let accept_step _ event () m = (accept m event, ())
+  let accept_step _ event () m = accept m event
 
   (* ---- the senior rule ----
 
@@ -461,7 +479,7 @@ module Make (A : Spec.Adt_sig.S) = struct
     if ordered then
       emit t ~txn
         (match event with H.Commit (_, ts) -> Obs.Trace.Commit ts | _ -> Obs.Trace.Abort);
-    transition t ~ordered ~txn accept_step event ();
+    ignore (transition t ~ordered ~txn accept_step itself event () : C.t);
     push_event t event;
     Atomic.incr (if commit then t.commits else t.aborts);
     Obs.Metrics.incr (if commit then m_commits else m_aborts)
@@ -510,30 +528,43 @@ module Make (A : Spec.Adt_sig.S) = struct
      the machine; a refusal still publishes that step — the pending
      invocation carries the machine's timestamp lower bound for this
      transaction.  A response the senior rule bars is refused the same
-     way. *)
-  let invoke_step t txn i m0 =
+     way.  The outcome is the machine's own result unless the senior
+     rule bars it, so an uncontended invocation allocates nothing
+     here. *)
+  let fresh m q i = match C.pending m q with Some i' -> not (A.equal_inv i i') | None -> true
+
+  type invoked =
+    ( A.res * C.t,
+      [ `Blocked | `Conflict of C.conflict_info option | `Senior of senior * A.res ] * C.t )
+    result
+
+  let invoke_step t txn i m0 : invoked =
     let q = Txn_rt.model_txn txn in
-    let fresh = match C.pending m0 q with Some i' -> not (A.equal_inv i i') | None -> true in
     match C.invoke_and_choose m0 q i with
-    | Ok (r, m2) -> (
+    | Ok (r, _) as chosen -> (
       match barred_by_senior t ~id:(Txn_rt.id txn) ~priority:(Txn_rt.priority txn) i r with
-      | None -> (m2, (fresh, Ok r))
+      | None -> (chosen :> invoked)
       | Some s ->
-        let m1 = if fresh then accept m0 (H.Invoke (q, i)) else m0 in
-        (m1, (fresh, Error (`Senior (s, r)))))
-    | Error (((`Blocked | `Conflict _) as e), m1) -> (m1, (fresh, Error e))
+        let m1 = if fresh m0 q i then accept m0 (H.Invoke (q, i)) else m0 in
+        Error (`Senior (s, r), m1))
+    | Error _ as refused -> (refused :> invoked)
+
+  let invoked_machine = function Ok (_, m) | Error (_, m) -> m
 
   let invoke_section t ordered txn i =
     let q = Txn_rt.model_txn txn in
     let qid = Txn_rt.id txn in
     let priority = Txn_rt.priority txn in
-    let fresh, chosen = transition t ~ordered ~txn:qid invoke_step txn i in
-    if fresh && ordered then begin
+    (* Only an ordered update records the Invoke, and it holds the
+       mutex, so the machine it reads here is the one it steps. *)
+    let fresh = ordered && fresh (Atomic.get t.machine) q i in
+    let chosen = transition t ~ordered ~txn:qid invoke_step invoked_machine txn i in
+    if fresh then begin
       emit t ~txn:qid (Obs.Trace.Invoke (encode_inv t i));
       push_event t (H.Invoke (q, i))
     end;
     match chosen with
-    | Ok r ->
+    | Ok (r, _) ->
       clear_senior t qid;
       Atomic.incr t.invocations;
       Obs.Metrics.incr m_invocations;
@@ -560,14 +591,14 @@ module Make (A : Spec.Adt_sig.S) = struct
         emit t ~txn:qid Obs.Trace.Lock_granted
       end;
       Ok r
-    | Error `Blocked ->
+    | Error (`Blocked, _) ->
       (* A blocked senior waits on the state, not on a lock. *)
       clear_senior t qid;
       Atomic.incr t.blocked;
       Obs.Metrics.incr m_blocked;
       if ordered then emit t ~txn:qid Obs.Trace.Blocked;
       Error `Blocked
-    | Error (`Conflict info) ->
+    | Error (`Conflict info, _) ->
       let conflict = capture_conflict info in
       (* Older than the holder: wait-die lets it wait, so it
          becomes a candidate senior. *)
@@ -579,7 +610,7 @@ module Make (A : Spec.Adt_sig.S) = struct
         ~holder:(Option.map (fun c -> c.Retry.holder) conflict)
         (Option.map (fun ci -> (ci.C.c_requested, ci.C.c_held)) info);
       Error (`Conflict conflict)
-    | Error (`Senior (s, r)) ->
+    | Error (`Senior (s, r), _) ->
       refuse t ~ordered ~txn:qid ~holder:(Some s.s_id) (Some ((i, r), s.s_requested));
       Error (`Conflict (Some { Retry.holder = s.s_id; holder_priority = Some s.s_priority }))
 
@@ -647,6 +678,7 @@ module Make (A : Spec.Adt_sig.S) = struct
       commits = Atomic.get t.commits;
       aborts = Atomic.get t.aborts;
       forgotten = C.forgotten (Atomic.get t.machine);
+      max_overtaken = Atomic.get t.overtaken;
     }
 
   let live_ops t = C.live_ops (Atomic.get t.machine)
@@ -679,11 +711,11 @@ module Make (A : Spec.Adt_sig.S) = struct
 
   (* ---- snapshot reads (see Snapshot) ---- *)
 
-  let pin_step _ reader at m = (C.pin m reader at, ())
-  let unpin_step _ reader () m = (C.unpin m reader, ())
+  let pin_step _ reader at m = C.pin m reader at
+  let unpin_step _ reader () m = C.unpin m reader
 
   let unpin_section t ordered reader () =
-    transition t ~ordered ~txn:(Model.Txn.id reader) unpin_step reader ()
+    ignore (transition t ~ordered ~txn:(Model.Txn.id reader) unpin_step itself reader () : C.t)
 
   let snapshot_source t =
     {
@@ -693,7 +725,9 @@ module Make (A : Spec.Adt_sig.S) = struct
          side effects make it an ordered update like any other. *)
       pin =
         (fun reader at ->
-          transition t ~ordered:false ~txn:(Model.Txn.id reader) pin_step reader at);
+          ignore
+            (transition t ~ordered:false ~txn:(Model.Txn.id reader) pin_step itself reader at
+              : C.t));
       unpin = (fun reader -> section t unpin_section reader ());
     }
 

@@ -36,7 +36,16 @@ module Make (A : Spec.Adt_sig.S) : sig
     commits : int;
     aborts : int;
     forgotten : int;  (** committed transactions folded into the version *)
+    max_overtaken : int;
+        (** the most compare-and-swaps one update has lost to other
+            publishes: at most {!max_lost_cas} plus one per other domain
+            publishing concurrently, since an update that keeps losing
+            takes the object exclusively *)
   }
+
+  val max_lost_cas : int
+  (** Lost compare-and-swaps an update absorbs before it takes the
+      object exclusively. *)
 
   val create :
     ?name:string ->

@@ -397,46 +397,30 @@ let abort_txn t txn =
 (* ---- two-phase commit participant entry points (see Dist) ---- *)
 
 (* Phase 1: draw this shard's hybrid timestamp for global transaction
-   [gtxn] and force the vote.  The prepared timestamp joins the
-   in-flight set and stays there until the decision: [stable_time] — and
-   with it every object horizon and checkpoint — cannot advance past a
-   prepared-but-undecided transaction.  That is the cross-shard
-   stability rule: the decided timestamp is at least the local prepared
-   one, so nothing this shard folds or serves as stable can be
-   invalidated by the eventual commit. *)
+   [gtxn] and append the vote, unforced — the coordinator forces every
+   participant's vote together ([Wal.Log.sync_all]), one wait for all
+   shards.  The prepared timestamp joins the in-flight set and stays
+   there until the decision: [stable_time] — and with it every object
+   horizon and checkpoint — cannot advance past a prepared-but-undecided
+   transaction.  That is the cross-shard stability rule: the decided
+   timestamp is at least the local prepared one, so nothing this shard
+   folds or serves as stable can be invalidated by the eventual
+   commit. *)
 let prepare t txn ~gtxn =
   if Obs.Span.enabled () then
     Obs.Span.prepare ~txn:(Txn_rt.id txn) ~shard:t.stripe_index;
-  let ts, pin, lsn =
-    draw_section t (fun () ->
-        let pin = claim t in
-        let ts = draw t in
-        publish t pin ts;
-        match t.wal with
-        | None -> (ts, pin, None)
-        | Some w -> (
-          match
-            Wal.Log.append_lsn w (Wal.Log.Prepare { txn = Txn_rt.id txn; gtxn; ts })
-          with
-          | lsn -> (ts, pin, Some (w, lsn))
-          | exception e ->
-            retire t pin ts;
-            raise e))
-  in
-  (match lsn with
-  | Some (w, l) -> (
-    try Wal.Log.sync_upto w l
-    with e ->
-      (* The vote may or may not be on disk; either way this shard never
-         acked, the coordinator will not decide commit, and recovery
-         presumes abort — so retiring the timestamp and failing the
-         prepare is sound. *)
-      retire t pin ts;
-      raise e)
-  | None -> ());
-  if Obs.Span.enabled () then
-    Obs.Span.prepared ~txn:(Txn_rt.id txn) ~shard:t.stripe_index ~ts;
-  ts
+  draw_section t (fun () ->
+      let pin = claim t in
+      let ts = draw t in
+      publish t pin ts;
+      match t.wal with
+      | None -> (ts, 0)
+      | Some w -> (
+        match Wal.Log.append_lsn w (Wal.Log.Prepare { txn = Txn_rt.id txn; gtxn; ts }) with
+        | lsn -> (ts, lsn)
+        | exception e ->
+          retire t pin ts;
+          raise e))
 
 (* Phase 2, commit: adopt the decided timestamp (max over all
    participants' prepares).  The clock observes the decision (CAS-max
@@ -444,11 +428,13 @@ let prepare t txn ~gtxn =
    the decided timestamp with one atomic store (the stability pin
    transfers without a gap), and the commit record is appended —
    possibly out of local record order, which recovery's sort-by-timestamp
-   absorbs.  The record is forced before returning, so a return is the
-   durable ack the coordinator needs before it may forget the decision;
-   a sync failure raises only {e after} the commit events are
-   distributed, because the global decision is already durable at the
-   coordinator and cannot be un-taken. *)
+   absorbs.  The record is not forced: the forced decision already
+   commits this branch for recovery, and the record becomes durable with
+   this log's next sync (any later local commit forces it, since syncs
+   are LSN-ordered).  The returned LSN is what the coordinator waits to
+   see durable before it forgets the decision.  An append failure raises
+   only {e after} the commit events are distributed, because the global
+   decision is durable at the coordinator and cannot be un-taken. *)
 let decide_commit t txn ~prepared ~ts =
   let logged =
     draw_section t (fun () ->
@@ -462,9 +448,9 @@ let decide_commit t txn ~prepared ~ts =
         observe t ts;
         repin t ~from_ts:prepared ~to_ts:ts;
         match t.wal with
-        | None -> Ok None
+        | None -> Ok 0
         | Some w -> (
-          try Ok (Some (w, Wal.Log.append_lsn w (Wal.Log.Commit { txn = Txn_rt.id txn; ts })))
+          try Ok (Wal.Log.append_lsn w (Wal.Log.Commit { txn = Txn_rt.id txn; ts }))
           with e -> Error e))
   in
   if Obs.Span.enabled () then
@@ -473,10 +459,7 @@ let decide_commit t txn ~prepared ~ts =
   Fun.protect ~finally:(fun () -> retire t pin ts) (fun () -> Txn_rt.commit txn ts);
   Atomic.incr t.commits;
   Obs.Metrics.incr m_commits;
-  match logged with
-  | Ok None -> ()
-  | Ok (Some (w, l)) -> Wal.Log.sync_upto w l
-  | Error e -> raise e
+  match logged with Ok lsn -> lsn | Error e -> raise e
 
 (* Phase 2, abort: presumed abort — release the prepared reservation and
    notify participants; the Abort record is an unforced courtesy to the

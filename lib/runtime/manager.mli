@@ -116,30 +116,37 @@ val abort_txn : t -> Txn_rt.t -> unit
 (** Abort an externally executed handle: abort record (unforced), abort
     events to its participants, failure accounting. *)
 
-val prepare : t -> Txn_rt.t -> gtxn:int -> Model.Timestamp.t
+val prepare : t -> Txn_rt.t -> gtxn:int -> Model.Timestamp.t * int
 (** 2PC phase 1 at a participant shard: draw this shard's hybrid
-    timestamp for global transaction [gtxn], force a [Prepare] record
-    (the vote's durability point), and return the timestamp.  The
-    prepared timestamp stays in flight — pinning {!stable_time}, and
-    with it every horizon and checkpoint, below it — until
-    {!decide_commit} or {!decide_abort}: a shard's horizon may not
-    advance past a prepared-but-undecided transaction.  On failure the
-    timestamp is retired and the exception propagates; the coordinator
-    must then abort the global transaction (the un-acked vote is
-    presumed aborted by recovery). *)
+    timestamp for global transaction [gtxn] and append a [Prepare]
+    record, {e unforced}; return the timestamp and the record's LSN in
+    {!wal} (0 without a WAL).  The vote counts only once that LSN is
+    durable: the coordinator forces every participant's vote together
+    ({!Wal.Log.sync_all}).  The prepared timestamp stays in flight —
+    pinning {!stable_time}, and with it every horizon and checkpoint,
+    below it — until {!decide_commit} or {!decide_abort}: a shard's
+    horizon may not advance past a prepared-but-undecided transaction.
+    If the append fails the timestamp is retired and the exception
+    propagates; if the force fails the coordinator must
+    {!decide_abort} the vote (recovery presumes an un-acked vote
+    aborted). *)
 
-val decide_commit : t -> Txn_rt.t -> prepared:Model.Timestamp.t -> ts:Model.Timestamp.t -> unit
+val decide_commit : t -> Txn_rt.t -> prepared:Model.Timestamp.t -> ts:Model.Timestamp.t -> int
 (** 2PC phase 2 at a participant shard, commit decision: adopt decided
     timestamp [ts] (= max over all participants' prepared timestamps;
     Lamport-merges into this shard's clock so every later local draw
     exceeds it), move the in-flight pin from [prepared] to [ts], append
-    the commit record, distribute commit events, and force the record —
-    return is the durable ack after which the coordinator may forget
-    the decision.  A late failure (append/sync) raises only after the
-    commit is applied in memory: the decision is already durable at the
-    coordinator and recovery re-derives this shard's commit from it, so
-    the caller must treat the transaction as committed but must {e not}
-    forget the decision. *)
+    the commit record {e without forcing it}, and distribute commit
+    events.  Returns the record's LSN in {!wal} (0 without a WAL): the
+    coordinator may forget the decision once this log's
+    {!Wal.Log.durable_lsn} has passed it.  Leaving the record to the
+    log's next sync is safe because the forced decision is the commit
+    point — recovery commits an in-doubt vote the decision log still
+    holds — and because syncs are LSN-ordered: any later local commit
+    on this shard, which may have observed this one, forces the record
+    first.  An append failure raises only after the commit is applied
+    in memory: the caller must treat the transaction as committed but
+    must {e not} forget the decision. *)
 
 val decide_abort : t -> Txn_rt.t -> prepared:Model.Timestamp.t -> unit
 (** 2PC phase 2 at a participant shard, abort decision (or presumed

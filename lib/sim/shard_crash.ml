@@ -18,32 +18,55 @@
    The matrix covers every milestone of a two-participant commit
    (before any prepare; after each prepare, undecided; after the
    decision is durable; after each participant's commit record) in both
-   group-commit modes, plus an unkilled control. *)
+   group-commit modes, plus an unkilled control.
+
+   Votes are forced together and commit records are not forced at all,
+   so a crash can also drop records a participant log wrote but never
+   synced.  Three more sites model that: a vote whose force dies (the
+   votes appended, not all durable), a kill after every commit record
+   was appended, and a crash right after the victim committed.  Their
+   participant log images are cut at each log's durable LSN at the
+   moment of the crash; the decision log keeps every byte it wrote,
+   unforced [Forget]s included — the worst case for a decision
+   forgotten before its commit records were durable. *)
 
 exception Killed of string
 
 type site =
   | No_kill
   | Before_prepare
+  | Vote_lost of int (* participant k's vote force dies *)
   | After_prepare of int (* killed after the (k+1)-th vote *)
   | After_decide
   | After_ack of int (* killed after the (k+1)-th participant commit *)
+  | Acks_lost (* killed after the last commit record; unsynced bytes lost *)
+  | Commits_lost (* crashed once the victim committed; unsynced bytes lost *)
 
 let site_label = function
   | No_kill -> "none"
   | Before_prepare -> "before-prepare"
+  | Vote_lost k -> Printf.sprintf "vote-lost-%d" k
   | After_prepare k -> Printf.sprintf "prepared-%d" k
   | After_decide -> "decided"
   | After_ack k -> Printf.sprintf "acked-%d" k
+  | Acks_lost -> "acks-lost"
+  | Commits_lost -> "commits-lost"
 
 (* Sites for a [parts]-participant victim, in protocol order. *)
 let sites parts =
   [ No_kill; Before_prepare ]
+  @ List.init parts (fun k -> Vote_lost k)
   @ List.init parts (fun k -> After_prepare k)
   @ [ After_decide ]
   @ List.init parts (fun k -> After_ack k)
+  @ [ Acks_lost; Commits_lost ]
 
-let hook site =
+(* Sites whose participant logs lose what they never synced. *)
+let drops_unsynced = function
+  | Vote_lost _ | Acks_lost | Commits_lost -> true
+  | No_kill | Before_prepare | After_prepare _ | After_decide | After_ack _ -> false
+
+let hook ~parts site =
   let prepares = ref 0 and acks = ref 0 in
   fun (st : Dist.Coordinator.step) ->
     let kill () = raise (Killed (site_label site)) in
@@ -56,7 +79,24 @@ let hook site =
     | Dist.Coordinator.Acked _, After_ack k ->
       incr acks;
       if !acks > k then kill ()
+    | Dist.Coordinator.Acked _, Acks_lost ->
+      incr acks;
+      if !acks = parts then kill ()
     | _ -> ()
+
+(* The crash image of one log: its bytes as written, cut at its durable
+   LSN when unsynced bytes are lost.  Shard logs never rewrite here
+   ([compact_threshold] is unbounded), so record [i] of the file has LSN
+   [i + 1]. *)
+let image ~cut w =
+  let raw = Wal.Log.read_file (Wal.Log.path w) in
+  if not cut then Ok raw
+  else if Wal.Log.file_records w <> Wal.Log.appended_lsn w then
+    Error (Wal.Log.path w ^ " was rewritten: its records no longer have their LSNs")
+  else
+    match Wal.Log.durable_lsn w with
+    | 0 -> Ok ""
+    | lsn -> Ok (Wal.Crash.image raw (Wal.Crash.After_record (lsn - 1)))
 
 type cell = {
   k_site : site;
@@ -124,9 +164,21 @@ let run_cell ~dir ~group_commit ~shards ~cross_pct site =
       ~compact_threshold:max_int ~shards ()
   in
   background s ~shards ~cross_pct;
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let wal i = Option.get (Dist.Shard.wal (Dist.Router.shard s.router i)) in
   (* The victim: a transfer spanning shards 0 and 1, killed mid-protocol
-     by the step hook. *)
-  Dist.Coordinator.set_step_hook s.coord (hook site);
+     by the step hook, or by a sync hook that fails one vote's force. *)
+  Dist.Coordinator.set_step_hook s.coord (hook ~parts:2 site);
+  (match site with
+  | Vote_lost k ->
+    let fired = ref false in
+    Wal.Log.set_sync_hook (wal k) (fun () ->
+        if not !fired then begin
+          fired := true;
+          raise (Killed (site_label site))
+        end)
+  | _ -> ());
   let gid = ref (-1) in
   let outcome =
     match
@@ -142,14 +194,44 @@ let run_cell ~dir ~group_commit ~shards ~cross_pct site =
     | exception Killed _ -> `Killed
   in
   Dist.Coordinator.clear_step_hook s.coord;
+  Wal.Log.clear_sync_hook (wal 0);
+  Wal.Log.clear_sync_hook (wal 1);
+  (* The crash image, taken now: the participants' logs lose what they
+     never synced, every other log keeps what it wrote. *)
+  let images =
+    if not (drops_unsynced site) then None
+    else
+      let logs =
+        List.init shards (fun i -> (wal i, i < 2))
+        @ [ (Dist.Decision_log.log (Option.get s.dlog), false) ]
+      in
+      Some (List.map (fun (w, cut) -> (Wal.Log.path w, image ~cut w)) logs)
+  in
   let wal_paths = List.init shards (fun i -> Dist.Shard.wal_file ~dir:sub i) in
   let dpath = Dist.Shard.decision_file sub in
   Shard_exp.close_setup s;
+  (* Recovery reads the crash image where there is one, else the logs as
+     closed. *)
+  let wal_paths, dpath =
+    match images with
+    | None -> (wal_paths, dpath)
+    | Some images ->
+      let crash = Filename.concat sub "crash" in
+      ensure_dir crash;
+      let place path =
+        let copy = Filename.concat crash (Filename.basename path) in
+        (match List.assoc path images with
+        | Ok raw -> Out_channel.with_open_bin copy (fun oc -> Out_channel.output_string oc raw)
+        | Error e ->
+          fail "%s" e;
+          Out_channel.with_open_bin copy ignore);
+        copy
+      in
+      (List.map place wal_paths, place dpath)
+  in
   (* --- everything below runs from the on-disk state alone --- *)
   let decisions = Dist.Decision_log.read dpath in
   let decided g = List.assoc_opt g decisions in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let resolutions = ref 0 in
   let fate =
     List.mapi
@@ -172,12 +254,12 @@ let run_cell ~dir ~group_commit ~shards ~cross_pct site =
      never saw the victim and must not commit it either way. *)
   let expect_commit =
     match site with
-    | No_kill | After_decide | After_ack _ -> true
-    | Before_prepare | After_prepare _ -> false
+    | No_kill | After_decide | After_ack _ | Acks_lost | Commits_lost -> true
+    | Before_prepare | Vote_lost _ | After_prepare _ -> false
   in
   (match (site, outcome) with
-  | No_kill, `Committed -> ()
-  | No_kill, _ -> fail "control cell did not commit"
+  | (No_kill | Commits_lost), `Committed -> ()
+  | (No_kill | Commits_lost), _ -> fail "the victim did not commit"
   | _, `Killed -> ()
   | _, `Committed -> fail "kill hook did not fire (committed)"
   | _, `Aborted r -> fail "kill hook did not fire (aborted: %s)" r);
@@ -209,9 +291,9 @@ let run_cell ~dir ~group_commit ~shards ~cross_pct site =
      decision must survive any post-decision kill (only the unkilled
      control is allowed to have forgotten it after full acks). *)
   (match (site, decided !gid) with
-  | (Before_prepare | After_prepare _), Some ts ->
+  | (Before_prepare | Vote_lost _ | After_prepare _), Some ts ->
     fail "decision log holds ts=%d for an undecided victim" ts
-  | (After_decide | After_ack _), None ->
+  | (After_decide | After_ack _ | Acks_lost | Commits_lost), None ->
     fail "decision log lost a durable decision"
   | _ -> ());
   {

@@ -10,6 +10,14 @@
     {!Wal.Recover.resolve}) against the surviving decisions
     ({!Dist.Decision_log.read}).
 
+    Commit records are not forced and votes are forced together, so
+    three more sites crash with each participant log cut at its durable
+    LSN ({!Wal.Crash.image}): a vote whose force fails, a kill after
+    every commit record was appended, and a crash right after the
+    victim committed.  The decision log keeps every byte it wrote,
+    unforced [Forget] records included, so a decision forgotten before
+    its commit records were durable shows as a lost commit.
+
     A cell fails if the victim commits without a surviving [Decide],
     fails to commit despite one, commits at a timestamp other than the
     decided one, differs between participants, or if any shard's
@@ -22,9 +30,17 @@ exception Killed of string
 type site =
   | No_kill  (** unkilled control *)
   | Before_prepare  (** after the body, before any vote *)
-  | After_prepare of int  (** after the (k+1)-th vote, undecided *)
+  | Vote_lost of int
+      (** every vote appended, participant [k]'s force fails: unsynced
+          bytes lost *)
+  | After_prepare of int
+      (** every vote durable, killed at the (k+1)-th [Prepared] step *)
   | After_decide  (** decision durable, no participant applied *)
-  | After_ack of int  (** after the (k+1)-th participant commit record *)
+  | After_ack of int  (** after the (k+1)-th participant commit record append *)
+  | Acks_lost
+      (** after the last commit record append: unsynced bytes lost *)
+  | Commits_lost
+      (** the victim committed, then the crash: unsynced bytes lost *)
 
 val site_label : site -> string
 val sites : int -> site list

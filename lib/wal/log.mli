@@ -136,6 +136,15 @@ val sync : t -> unit
 (** [sync_upto] to the current appended watermark, if anything is
     outstanding. *)
 
+val sync_all : (t * int) list -> unit
+(** [sync_upto] on every listed [(log, lsn)] as one wait: each log past
+    the first is forced from a systhread, so the logs' fsyncs overlap.
+    Returns once every listed record is durable; if any log's sync
+    fails, raises the first failure (in list order) after every sync
+    has finished, and the other logs' records may or may not be
+    durable.  Fsync flight marks are all emitted from the calling
+    thread. *)
+
 val set_sync_hook : t -> (unit -> unit) -> unit
 (** Install a hook that runs at every durability point, just before the
     fsync (and even when [fsync:false]).  A raising hook makes the sync
@@ -145,6 +154,9 @@ val set_sync_hook : t -> (unit -> unit) -> unit
 val clear_sync_hook : t -> unit
 
 val close : t -> unit
+(** Forces anything outstanding and closes the file; every appended
+    record then counts as durable ({!durable_lsn} = {!appended_lsn}). *)
+
 val path : t -> string
 
 val file_records : t -> int

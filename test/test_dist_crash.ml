@@ -36,9 +36,10 @@ let test_matrix_two_shards () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let m = Sim.Shard_crash.run ~dir () in
-      (* Every milestone of a two-participant commit, twice (both
-         group-commit modes). *)
-      Alcotest.(check int) "cell count" 14 (List.length m.Sim.Shard_crash.cells);
+      (* Every milestone of a two-participant commit and the three
+         sites that drop unsynced bytes, twice (both group-commit
+         modes). *)
+      Alcotest.(check int) "cell count" 22 (List.length m.Sim.Shard_crash.cells);
       check_matrix m)
 
 (* Bystander shards and committed cross-shard background traffic must
