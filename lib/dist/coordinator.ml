@@ -102,16 +102,17 @@ let positions t recs =
     recs
 
 (* Phase 1: every participant appends its vote, in first-touch order,
-   and then the votes are forced together — one wait, the logs' fsyncs
-   overlapped ([Wal.Log.sync_all]).  A vote that fails to append or to
+   before any is waited on; then each vote's log is forced in the same
+   order, on the committing thread — one wait per participant log,
+   stopping at the first failure.  A vote that fails to append or to
    force aborts the global transaction: every appended vote gets a
    decide-abort (releasing its stability pin; recovery presumes a vote
    it finds undecided aborted), the other branches plain aborts.  The
-   [prepared] span marks are emitted here, on the coordinator's own
-   thread after the force, and the step hook is called only once every
-   vote is durable and outside the exception match — a raising hook
-   models a coordinator crash and must leave every participant exactly
-   as the protocol did (prepared, pinned, undecided). *)
+   [prepared] span marks are emitted after the last force, and the step
+   hook is called only once every vote is durable and outside the
+   exception match — a raising hook models a coordinator crash and must
+   leave every participant exactly as the protocol did (prepared,
+   pinned, undecided). *)
 let phase1 t ctx parts =
   let rec append voted = function
     | [] -> Ok (List.rev voted)
@@ -127,8 +128,8 @@ let phase1 t ctx parts =
     | Error _ as err -> err
     | Ok votes -> (
       let durable = positions t (List.map (fun (si, _, _, lsn) -> (si, lsn)) votes) in
-      match Wal.Log.sync_all durable with
-      | () -> Ok (votes, Bool.to_int (durable <> []))
+      match List.iter (fun (w, lsn) -> Wal.Log.sync_upto w lsn) durable with
+      | () -> Ok (votes, List.length durable)
       | exception e -> Error (e, votes))
   in
   match forced with
@@ -203,8 +204,7 @@ let two_phase t ctx parts =
       in
       if not !ack_failed then
         Option.iter (fun d -> Decision_log.acked d ~gtxn:ctx.gid (positions t commits)) t.dlog;
-      (* The critical path's waits: the votes, forced together, and the
-         decision. *)
+      (* The critical path's waits: one per vote, then the decision. *)
       let waits = vote_waits + Bool.to_int (Option.is_some t.dlog) in
       ignore (Atomic.fetch_and_add t.cross_sync_waits waits : int);
       Atomic.incr t.commits;

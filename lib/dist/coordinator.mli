@@ -9,11 +9,12 @@
     - {e single-shard} transactions take the ordinary local commit path
       (no votes, no decision record — 2PC costs nothing until a
       transaction actually spans shards);
-    - {e cross-shard} transactions run 2PC on two forced waits, however
-      many shards they span: every participant
-      {!Runtime.Manager.prepare}s (drawing its shard's hybrid timestamp
-      and appending its vote) and the votes are forced together
-      ({!Wal.Log.sync_all}); the coordinator decides
+    - {e cross-shard} transactions run 2PC on N + 1 forced waits for N
+      participants: every participant {!Runtime.Manager.prepare}s
+      (drawing its shard's hybrid timestamp and appending its vote)
+      before any vote is waited on, then each vote's log is forced in
+      turn on the committing thread ({!Wal.Log.sync_upto}, first-touch
+      order, stopping at the first failure); the coordinator decides
       [commit_ts = max(prepared timestamps)] and forces it to the
       decision log (the global commit point); then every participant
       {!Runtime.Manager.decide_commit}s at the decided timestamp,
@@ -112,9 +113,8 @@ type stats = {
           the record. *)
   c_cross_sync_waits : int;
       (** forced-write waits on the critical paths of committed
-          cross-shard transactions: 2 each with WALs and a decision log
-          (the votes, forced together, then the decision), whatever the
-          number of participants *)
+          cross-shard transactions: N + 1 each for N participants with
+          WALs and a decision log (each vote, then the decision) *)
 }
 
 val stats : t -> stats

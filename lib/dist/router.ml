@@ -9,17 +9,8 @@ let make ?wal_dir ?prefix ?fsync ?group_commit ?compact_threshold ?ring_capacity
             ?ring_capacity ~index ~count ());
   }
 
-let of_shards shards =
-  if Array.length shards = 0 then invalid_arg "Router.of_shards: empty";
-  { shards }
-
 let count t = Array.length t.shards
 let shard t i = t.shards.(i)
-
-(* Fibonacci hashing spreads sequential keys; any deterministic map
-   would do — placement is policy, correctness comes from the
-   coordinator. *)
-let shard_of_key t k = t.shards.(k * 0x9E3779B1 land max_int mod Array.length t.shards)
 
 let iter f t = Array.iter f t.shards
 let rings t = Array.map Shard.ring t.shards

@@ -1,4 +1,4 @@
-(** The shard set and key placement. *)
+(** The shard set. *)
 
 type t
 
@@ -14,13 +14,8 @@ val make :
   t
 (** [count] fresh shards (see {!Shard.create}). *)
 
-val of_shards : Shard.t array -> t
-
 val count : t -> int
 val shard : t -> int -> Shard.t
-
-val shard_of_key : t -> int -> Shard.t
-(** Deterministic key placement (Fibonacci hash mod shard count). *)
 
 val iter : (Shard.t -> unit) -> t -> unit
 val rings : t -> Obs.Trace.t array

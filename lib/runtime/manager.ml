@@ -397,15 +397,15 @@ let abort_txn t txn =
 (* ---- two-phase commit participant entry points (see Dist) ---- *)
 
 (* Phase 1: draw this shard's hybrid timestamp for global transaction
-   [gtxn] and append the vote, unforced — the coordinator forces every
-   participant's vote together ([Wal.Log.sync_all]), one wait for all
-   shards.  The prepared timestamp joins the in-flight set and stays
-   there until the decision: [stable_time] — and with it every object
-   horizon and checkpoint — cannot advance past a prepared-but-undecided
-   transaction.  That is the cross-shard stability rule: the decided
-   timestamp is at least the local prepared one, so nothing this shard
-   folds or serves as stable can be invalidated by the eventual
-   commit. *)
+   [gtxn] and append the vote, unforced — the coordinator appends every
+   participant's vote before it forces any, then forces each vote's log
+   in turn ([Wal.Log.sync_upto]).  The prepared timestamp joins the
+   in-flight set and stays there until the decision: [stable_time] —
+   and with it every object horizon and checkpoint — cannot advance past
+   a prepared-but-undecided transaction.  That is the cross-shard
+   stability rule: the decided timestamp is at least the local prepared
+   one, so nothing this shard folds or serves as stable can be
+   invalidated by the eventual commit. *)
 let prepare t txn ~gtxn =
   if Obs.Span.enabled () then
     Obs.Span.prepare ~txn:(Txn_rt.id txn) ~shard:t.stripe_index;

@@ -121,15 +121,15 @@ val prepare : t -> Txn_rt.t -> gtxn:int -> Model.Timestamp.t * int
     timestamp for global transaction [gtxn] and append a [Prepare]
     record, {e unforced}; return the timestamp and the record's LSN in
     {!wal} (0 without a WAL).  The vote counts only once that LSN is
-    durable: the coordinator forces every participant's vote together
-    ({!Wal.Log.sync_all}).  The prepared timestamp stays in flight —
-    pinning {!stable_time}, and with it every horizon and checkpoint,
-    below it — until {!decide_commit} or {!decide_abort}: a shard's
-    horizon may not advance past a prepared-but-undecided transaction.
-    If the append fails the timestamp is retired and the exception
-    propagates; if the force fails the coordinator must
-    {!decide_abort} the vote (recovery presumes an un-acked vote
-    aborted). *)
+    durable: the coordinator appends every participant's vote first,
+    then forces each vote's log in turn ({!Wal.Log.sync_upto}).  The
+    prepared timestamp stays in flight — pinning {!stable_time}, and
+    with it every horizon and checkpoint, below it — until
+    {!decide_commit} or {!decide_abort}: a shard's horizon may not
+    advance past a prepared-but-undecided transaction.  If the append
+    fails the timestamp is retired and the exception propagates; if
+    the force fails the coordinator must {!decide_abort} the vote
+    (recovery presumes an un-acked vote aborted). *)
 
 val decide_commit : t -> Txn_rt.t -> prepared:Model.Timestamp.t -> ts:Model.Timestamp.t -> int
 (** 2PC phase 2 at a participant shard, commit decision: adopt decided

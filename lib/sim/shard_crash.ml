@@ -20,22 +20,23 @@
    decision is durable; after each participant's commit record) in both
    group-commit modes, plus an unkilled control.
 
-   Votes are forced together and commit records are not forced at all,
-   so a crash can also drop records a participant log wrote but never
-   synced.  Three more sites model that: a vote whose force dies (the
-   votes appended, not all durable), a kill after every commit record
-   was appended, and a crash right after the victim committed.  Their
-   participant log images are cut at each log's durable LSN at the
-   moment of the crash; the decision log keeps every byte it wrote,
-   unforced [Forget]s included — the worst case for a decision
-   forgotten before its commit records were durable. *)
+   Every vote is appended before the first is forced, the votes are
+   forced one log after another, and commit records are not forced at
+   all, so a crash can also drop records a participant log wrote but
+   never synced.  Three more sites model that: a vote whose force dies
+   (the votes before it durable, the later ones never forced), a kill
+   after every commit record was appended, and a crash right after the
+   victim committed.  Their participant log images are cut at each
+   log's durable LSN at the moment of the crash; the decision log keeps
+   every byte it wrote, unforced [Forget]s included — the worst case
+   for a decision forgotten before its commit records were durable. *)
 
 exception Killed of string
 
 type site =
   | No_kill
   | Before_prepare
-  | Vote_lost of int (* participant k's vote force dies *)
+  | Vote_lost of int (* votes before k durable, k's force dies, later ones never forced *)
   | After_prepare of int (* killed after the (k+1)-th vote *)
   | After_decide
   | After_ack of int (* killed after the (k+1)-th participant commit *)

@@ -10,13 +10,14 @@
     {!Wal.Recover.resolve}) against the surviving decisions
     ({!Dist.Decision_log.read}).
 
-    Commit records are not forced and votes are forced together, so
-    three more sites crash with each participant log cut at its durable
-    LSN ({!Wal.Crash.image}): a vote whose force fails, a kill after
-    every commit record was appended, and a crash right after the
-    victim committed.  The decision log keeps every byte it wrote,
-    unforced [Forget] records included, so a decision forgotten before
-    its commit records were durable shows as a lost commit.
+    Commit records are not forced and every vote is appended before
+    the first is forced, so three more sites crash with each
+    participant log cut at its durable LSN ({!Wal.Crash.image}): a vote
+    whose force fails, a kill after every commit record was appended,
+    and a crash right after the victim committed.  The decision log
+    keeps every byte it wrote, unforced [Forget] records included, so a
+    decision forgotten before its commit records were durable shows as
+    a lost commit.
 
     A cell fails if the victim commits without a surviving [Decide],
     fails to commit despite one, commits at a timestamp other than the
@@ -31,8 +32,9 @@ type site =
   | No_kill  (** unkilled control *)
   | Before_prepare  (** after the body, before any vote *)
   | Vote_lost of int
-      (** every vote appended, participant [k]'s force fails: unsynced
-          bytes lost *)
+      (** every vote appended; the votes before participant [k] are
+          durable, [k]'s force fails and the later votes were never
+          forced: unsynced bytes lost *)
   | After_prepare of int
       (** every vote durable, killed at the (k+1)-th [Prepared] step *)
   | After_decide  (** decision durable, no participant applied *)

@@ -12,24 +12,6 @@ type record =
 
 let equal_record (a : record) b = a = b
 
-let pp_cell ppf = function
-  | None -> ()
-  | Some c -> Format.fprintf ppf ", cell=%d" c
-
-let pp_record ppf = function
-  | Object { obj; adt; cell } -> Format.fprintf ppf "Object(%s:%s%a)" obj adt pp_cell cell
-  | Intention { obj; txn; payload; cell } ->
-    Format.fprintf ppf "Intention(%s, T%d, %d bytes%a)" obj txn (String.length payload)
-      pp_cell cell
-  | Commit { txn; ts } -> Format.fprintf ppf "Commit(T%d, ts=%d)" txn ts
-  | Abort { txn } -> Format.fprintf ppf "Abort(T%d)" txn
-  | Checkpoint { obj; upto; payload; cell } ->
-    Format.fprintf ppf "Checkpoint(%s, upto=%d, %d bytes%a)" obj upto (String.length payload)
-      pp_cell cell
-  | Prepare { txn; gtxn; ts } -> Format.fprintf ppf "Prepare(T%d, G%d, ts=%d)" txn gtxn ts
-  | Decide { gtxn; ts } -> Format.fprintf ppf "Decide(G%d, ts=%d)" gtxn ts
-  | Forget { gtxn } -> Format.fprintf ppf "Forget(G%d)" gtxn
-
 (* ---- record payload encoding (inside the frame) ---- *)
 
 let tag_object = 1
@@ -448,11 +430,7 @@ let append t record = ignore (append_lsn t record : int)
    each waiter re-enters leader election, so a transient fault retries
    while a persistent one surfaces to every committer in the batch. *)
 
-(* Device-level flight record: one per physical fsync (the leader's),
-   as opposed to the per-transaction sync-wait window. *)
-let mark_fsync dur_ns = if Obs.Span.enabled () then Obs.Span.fsync ~dur_ns
-
-let run_sync_barrier t ~on_fsync =
+let run_sync_barrier t =
   (match t.sync_hook with Some f -> f () | None -> ());
   if t.fsync then begin
     let t0 = Obs.Clock.now_ns () in
@@ -460,15 +438,17 @@ let run_sync_barrier t ~on_fsync =
     let dur_ns = Obs.Clock.now_ns () - t0 in
     Obs.Metrics.observe h_fsync (Obs.Clock.ns_to_s dur_ns);
     Obs.Metrics.incr m_fsyncs;
-    on_fsync dur_ns
+    (* Device-level flight record: one per physical fsync (the leader's),
+       as opposed to the per-transaction sync-wait window. *)
+    if Obs.Span.enabled () then Obs.Span.fsync ~dur_ns
   end
 
-let rec sync_wait ?(on_fsync = mark_fsync) t lsn =
+let rec sync_wait t lsn =
   if t.closed then invalid_arg "Wal.Log.sync_upto: log closed";
   if t.durable_lsn < lsn then
     if t.syncing then begin
       Condition.wait t.cond t.mutex;
-      sync_wait ~on_fsync t lsn
+      sync_wait t lsn
     end
     else begin
       (* Become the leader for everything appended so far. *)
@@ -481,11 +461,11 @@ let rec sync_wait ?(on_fsync = mark_fsync) t lsn =
              (the next batch forms during this fsync).  [t.syncing]
              pins [t.fd]: no rewrite may swap it underneath us. *)
           Mutex.unlock t.mutex;
-          let r = try Ok (run_sync_barrier t ~on_fsync) with e -> Error e in
+          let r = try Ok (run_sync_barrier t) with e -> Error e in
           Mutex.lock t.mutex;
           r
         end
-        else (try Ok (run_sync_barrier t ~on_fsync) with e -> Error e)
+        else (try Ok (run_sync_barrier t) with e -> Error e)
       in
       t.syncing <- false;
       (match result with
@@ -498,114 +478,11 @@ let rec sync_wait ?(on_fsync = mark_fsync) t lsn =
       | Error _ -> ());
       Condition.broadcast t.cond;
       match result with
-      | Ok () -> if t.durable_lsn < lsn then sync_wait ~on_fsync t lsn
+      | Ok () -> if t.durable_lsn < lsn then sync_wait t lsn
       | Error e -> raise e
     end
 
 let sync_upto t lsn = with_lock t (fun () -> sync_wait t lsn)
-
-let sync t =
-  with_lock t (fun () -> if t.durable_lsn < t.seq then sync_wait t t.seq)
-
-(* ---- one wait for several logs ----
-
-   [Unix.fsync] releases the domain lock, so a systhread of the calling
-   domain can run a second log's fsync while the caller runs the first.
-   Starting a thread costs about a third of an fsync, so each domain
-   keeps the helpers it has started, parked on a condition between
-   jobs, and stops them when it exits ([Domain.join] would otherwise
-   wait on them for ever).  A helper emits no flight marks: a domain's
-   flight ring has a single writer, and two systhreads of one domain may
-   switch in the middle of an emit. *)
-
-type helper = {
-  h_mutex : Mutex.t;
-  h_cond : Condition.t;
-  mutable h_job : (unit -> unit) option; (* posted and not finished; never raises *)
-  mutable h_stop : bool;
-}
-
-let helper_loop h =
-  Mutex.lock h.h_mutex;
-  let rec loop () =
-    match h.h_job with
-    | Some job ->
-      Mutex.unlock h.h_mutex;
-      job ();
-      Mutex.lock h.h_mutex;
-      h.h_job <- None;
-      Condition.broadcast h.h_cond;
-      loop ()
-    | None when h.h_stop -> Mutex.unlock h.h_mutex
-    | None ->
-      Condition.wait h.h_cond h.h_mutex;
-      loop ()
-  in
-  loop ()
-
-let start_helper () =
-  let h = { h_mutex = Mutex.create (); h_cond = Condition.create (); h_job = None; h_stop = false } in
-  let th = Thread.create helper_loop h in
-  Domain.at_exit (fun () ->
-      Mutex.lock h.h_mutex;
-      h.h_stop <- true;
-      Condition.broadcast h.h_cond;
-      Mutex.unlock h.h_mutex;
-      Thread.join th);
-  h
-
-(* This domain's idle helpers; the mutex covers systhreads of one
-   domain calling [sync_all] at once. *)
-let idle = Domain.DLS.new_key (fun () -> (Mutex.create (), ref []))
-
-let post job =
-  let m, free = Domain.DLS.get idle in
-  Mutex.lock m;
-  let h = match !free with h :: rest -> free := rest; Some h | [] -> None in
-  Mutex.unlock m;
-  let h = match h with Some h -> h | None -> start_helper () in
-  Mutex.lock h.h_mutex;
-  h.h_job <- Some job;
-  Condition.broadcast h.h_cond;
-  Mutex.unlock h.h_mutex;
-  h
-
-let await h =
-  Mutex.lock h.h_mutex;
-  while Option.is_some h.h_job do
-    Condition.wait h.h_cond h.h_mutex
-  done;
-  Mutex.unlock h.h_mutex;
-  let m, free = Domain.DLS.get idle in
-  Mutex.lock m;
-  free := h :: !free;
-  Mutex.unlock m
-
-let sync_all positions =
-  match List.filter (fun (t, lsn) -> with_lock t (fun () -> t.durable_lsn < lsn)) positions with
-  | [] -> ()
-  | [ (t, lsn) ] -> sync_upto t lsn
-  | (t, lsn) :: rest ->
-    let spawn (t, lsn) =
-      let fsyncs = ref [] and result = ref (Ok ()) in
-      let job () =
-        result :=
-          try Ok (with_lock t (fun () -> sync_wait ~on_fsync:(fun d -> fsyncs := d :: !fsyncs) t lsn))
-          with e -> Error e
-      in
-      (post job, fsyncs, result)
-    in
-    let helpers = List.map spawn rest in
-    let own = try Ok (sync_upto t lsn) with e -> Error e in
-    let results =
-      List.map
-        (fun (h, fsyncs, result) ->
-          await h;
-          List.iter mark_fsync !fsyncs;
-          !result)
-        helpers
-    in
-    List.iter (function Ok () -> () | Error e -> raise e) (own :: results)
 
 let set_sync_hook t hook = with_lock t (fun () -> t.sync_hook <- Some hook)
 let clear_sync_hook t = with_lock t (fun () -> t.sync_hook <- None)
@@ -624,12 +501,10 @@ let close t =
       end)
 
 let file_records t = with_lock t (fun () -> t.file_records)
-let file_bytes t = with_lock t (fun () -> t.file_bytes)
 let live t = with_lock t (fun () -> live_records t)
 let appended_lsn t = with_lock t (fun () -> t.seq)
 let durable_lsn t = with_lock t (fun () -> t.durable_lsn)
 let fsyncs t = with_lock t (fun () -> t.n_syncs)
-let group_commit t = t.group_commit
 
 let checkpoint_upto t obj =
   with_lock t (fun () ->

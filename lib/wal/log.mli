@@ -76,7 +76,12 @@
     so durable commit-record order remains commit-timestamp order.
     With [group_commit = false] the fsync runs while holding the log
     mutex (every committer pays a serialized fsync) — the
-    pre-group-commit baseline. *)
+    pre-group-commit baseline.
+
+    A wait covers one log.  A cross-shard commit over N participant
+    logs appends every vote first, then calls {!sync_upto} on each
+    vote's log in turn, on the committing thread, and then forces the
+    decision: N + 1 forced waits (see [Dist.Coordinator]). *)
 
 type record =
   | Object of { obj : string; adt : string; cell : int option }
@@ -89,7 +94,6 @@ type record =
   | Forget of { gtxn : int }
 
 val equal_record : record -> record -> bool
-val pp_record : Format.formatter -> record -> unit
 
 (** {1 Framing} *)
 
@@ -132,19 +136,6 @@ val sync_upto : t -> int -> unit
     crash-equivalent for anything already appended (see
     {!Runtime.Manager}'s [Durability_lost]). *)
 
-val sync : t -> unit
-(** [sync_upto] to the current appended watermark, if anything is
-    outstanding. *)
-
-val sync_all : (t * int) list -> unit
-(** [sync_upto] on every listed [(log, lsn)] as one wait: each log past
-    the first is forced from a systhread, so the logs' fsyncs overlap.
-    Returns once every listed record is durable; if any log's sync
-    fails, raises the first failure (in list order) after every sync
-    has finished, and the other logs' records may or may not be
-    durable.  Fsync flight marks are all emitted from the calling
-    thread. *)
-
 val set_sync_hook : t -> (unit -> unit) -> unit
 (** Install a hook that runs at every durability point, just before the
     fsync (and even when [fsync:false]).  A raising hook makes the sync
@@ -162,8 +153,6 @@ val path : t -> string
 val file_records : t -> int
 (** Records currently in the file (resets at each rewrite). *)
 
-val file_bytes : t -> int
-
 val live : t -> int
 (** Size of the live set a rewrite would retain — the O(live
     transactions) bound the acceptance criterion measures. *)
@@ -180,8 +169,6 @@ val fsyncs : t -> int
     number of [Unix.fsync] calls the sync path has made.  The group
     commit acceptance criterion is [fsyncs t < commits] under concurrent
     committers. *)
-
-val group_commit : t -> bool
 
 val checkpoint_upto : t -> string -> int option
 (** The latest checkpointed horizon for an object, if any. *)

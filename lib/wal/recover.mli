@@ -26,18 +26,14 @@ val decisions : Log.record list -> (int * int) list
     record — what a coordinator's decision log contributes to
     participant resolution. *)
 
-val in_doubt : Log.record list -> (int * int * int) list
-(** {!prepared} votes with no subsequent [Commit]/[Abort] for the local
-    transaction: the participant crashed holding locks and must ask the
-    decision log. *)
-
 type resolution = { r_txn : int; r_gtxn : int; r_outcome : [ `Commit of int | `Abort ] }
 
 val pp_resolution : Format.formatter -> resolution -> unit
 
 val resolve :
   decided:(int -> int option) -> Log.record list -> Log.record list * resolution list
-(** Patch a participant log's in-doubt transactions against the
+(** Patch a participant log's in-doubt transactions ({!prepared} votes
+    with no later [Commit]/[Abort] for the local transaction) against the
     coordinator's decision log: a decided global transaction gets the
     [Commit] record (at the {e decided} timestamp — max over all
     participants' prepares) its shard never wrote; an undecided one gets

@@ -134,12 +134,12 @@ let transfer s shards =
           ignore (Sim.Shard_exp.Aobj.invoke s.Sim.Shard_exp.accounts.(si) b op))
         shards)
 
-(* A committed cross-shard transaction waits on two forced writes, the
-   votes (forced together) and the decision, however many shards it
-   spans.  The sync rounds its logs run agree: one per participant log
-   and one for the decision log, and none once the decision is
+(* A committed cross-shard transaction over N participants waits on
+   N + 1 forced writes: each vote's log, one after another, then the
+   decision.  The sync rounds its logs run agree: one per participant
+   log and one for the decision log, and none once the decision is
    durable — the commit records ride later syncs. *)
-let test_two_waits_per_cross_commit () =
+let test_waits_per_cross_commit () =
   with_durable_setup ~shards:3 @@ fun s ->
   let coord = s.Sim.Shard_exp.coord in
   let rounds = Atomic.make 0 and rounds_after_decide = Atomic.make 0 in
@@ -166,17 +166,82 @@ let test_two_waits_per_cross_commit () =
       let after = Dist.Coordinator.stats coord in
       let commits = after.c_cross_commits - before.c_cross_commits in
       Alcotest.(check int) (Printf.sprintf "%d-shard commits" n) 5 commits;
+      let waits = after.c_cross_sync_waits - before.c_cross_sync_waits in
       Alcotest.(check int)
-        (Printf.sprintf "%d participants: 2 waits per commit" n)
-        (2 * commits)
-        (after.c_cross_sync_waits - before.c_cross_sync_waits);
+        (Printf.sprintf "%d participants: %d waits per commit" n (n + 1))
+        ((n + 1) * commits) waits;
       Alcotest.(check int)
-        (Printf.sprintf "%d participants: %d sync rounds per commit" n (n + 1))
-        ((n + 1) * commits)
+        (Printf.sprintf "%d participants: one sync round per wait" n)
+        waits
         (Atomic.get rounds - rounds0))
     [ [ 0; 1 ]; [ 0; 1; 2 ] ];
   Alcotest.(check int) "no sync round after a decision" 0 (Atomic.get rounds_after_decide);
   Dist.Coordinator.clear_step_hook coord;
+  Sim.Shard_exp.close_setup s
+
+exception Vote_force_failed
+
+(* Votes are forced one log after another, so a failing force stops
+   the rest: with the middle participant's force failing once, the
+   first vote is durable, the third was never forced, and the
+   transaction commits nowhere.  Every branch is released — the same
+   three shards then commit a transfer, and no stability pin is left
+   behind. *)
+let test_failed_vote_force () =
+  with_durable_setup ~shards:3 @@ fun s ->
+  let coord = s.Sim.Shard_exp.coord in
+  let wals = Array.init 3 (shard_wal s) in
+  let balances () = Array.map Sim.Shard_exp.Aobj.committed_states s.Sim.Shard_exp.accounts in
+  let before = balances () and stats0 = Dist.Coordinator.stats coord in
+  (* Every vote is appended before the first force, so the LSNs the
+     hook reads cover each log's vote. *)
+  let voted = ref [||] and fired = ref false in
+  Wal.Log.set_sync_hook wals.(1) (fun () ->
+      if not !fired then begin
+        fired := true;
+        voted := Array.map Wal.Log.appended_lsn wals;
+        raise Vote_force_failed
+      end);
+  let gid = ref (-1) in
+  Alcotest.check_raises "the transfer raises the force's failure" Vote_force_failed (fun () ->
+      Dist.Coordinator.run coord (fun ctx ->
+          gid := Dist.Coordinator.id ctx;
+          List.iteri
+            (fun k si ->
+              let b = Dist.Coordinator.branch ctx (Dist.Router.shard s.Sim.Shard_exp.router si) in
+              let op = if k = 0 then Adt.Account.Debit 2 else Adt.Account.Credit 1 in
+              ignore (Sim.Shard_exp.Aobj.invoke s.Sim.Shard_exp.accounts.(si) b op))
+            [ 0; 1; 2 ]));
+  Wal.Log.clear_sync_hook wals.(1);
+  Alcotest.(check bool) "the middle force failed" true !fired;
+  Alcotest.(check bool) "the first vote is durable" true
+    (Wal.Log.durable_lsn wals.(0) >= !voted.(0));
+  Alcotest.(check bool) "the third vote was never forced" true
+    (Wal.Log.durable_lsn wals.(2) < !voted.(2));
+  let stats1 = Dist.Coordinator.stats coord in
+  Alcotest.(check int) "no cross-shard commit" stats0.c_cross_commits stats1.c_cross_commits;
+  Alcotest.(check int) "one abort" (stats0.c_aborts + 1) stats1.c_aborts;
+  Alcotest.(check (option int)) "no decision" None
+    (Dist.Decision_log.decided (Option.get s.Sim.Shard_exp.dlog) !gid);
+  Array.iteri
+    (fun i w ->
+      let records, _ = Wal.Log.read (Wal.Log.path w) in
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d logged no commit" i)
+        false
+        (List.mem_assoc !gid (Wal.Recover.committed records)))
+    wals;
+  Alcotest.(check (array (list int))) "balances unchanged" before (balances ());
+  transfer s [ 0; 1; 2 ];
+  Alcotest.(check int) "the next transfer commits" (stats1.c_cross_commits + 1)
+    (Dist.Coordinator.stats coord).c_cross_commits;
+  for i = 0 to 2 do
+    let mgr = Dist.Shard.mgr (Dist.Router.shard s.Sim.Shard_exp.router i) in
+    Alcotest.(check bool)
+      (Printf.sprintf "shard %d: no stability pin left" i)
+      true
+      (Runtime.Manager.stable_time mgr >= Runtime.Manager.current_time mgr)
+  done;
   Sim.Shard_exp.close_setup s
 
 (* The decision log stays O(unacknowledged decisions): with local
@@ -441,8 +506,10 @@ let () =
         ] );
       ( "commit-waits",
         [
-          Alcotest.test_case "two waits per cross-shard commit" `Quick
-            test_two_waits_per_cross_commit;
+          Alcotest.test_case "one wait per vote and one to decide" `Quick
+            test_waits_per_cross_commit;
+          Alcotest.test_case "a failed vote force stops the rest" `Quick
+            test_failed_vote_force;
         ] );
       ( "resolve",
         [
