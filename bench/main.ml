@@ -463,7 +463,7 @@ let run_group_commit () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "hybrid-cc-bench-gc-%d" (Unix.getpid ()))
   in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Sim.Driver.ensure_dir dir;
   print_endline "";
   print_endline "group commit (durable Inc transactions on one counter, real fsync):";
   let rows = Sim.Group_commit.sweep ~txns:200 ~dir ~domains:[ 1; 4 ] () in
@@ -499,11 +499,11 @@ let run_shard_scaling () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "hybrid-cc-bench-shard-%d" (Unix.getpid ()))
   in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Sim.Driver.ensure_dir dir;
   print_endline "";
   print_endline
     "shard scaling (durable account transfers, per-shard WAL + decision log, real fsync):";
-  let scale = { Sim.Experiments.domains = 4; txns = 120; think_us = 0. } in
+  let scale = { Sim.Driver.domains = 4; txns = 120; think_us = 0. } in
   Printf.printf "  %-6s %7s %9s %12s %8s %9s %13s  %s\n" "shards" "cross" "committed"
     "txn/s" "fsyncs" "fs/commit" "cross(c/a)" "audit";
   List.iter

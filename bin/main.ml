@@ -4,9 +4,19 @@
    - figures: regenerate the paper's dependency/commutativity tables from
      the serial specifications and diff them against the paper.
    - experiments: run the measured concurrency experiments (the EXP-
-     series from DESIGN.md).
+     series from DESIGN.md), wall-clock or virtual-time.
+   - trace: the same experiments with observability forced on, analyzed
+     and exported (conflict attribution, wait-for audit, Chrome trace).
    - history: replay the paper's Section 3.2 queue history through the
-     LOCK machine and the atomicity checkers. *)
+     LOCK machine and the atomicity checkers.
+   - derive: derive any shipped data type's conflict tables from its
+     serial specification.
+   - recover: recover every object from write-ahead logs and audit it.
+   - crash: kill-point crash-recovery experiments, single-log or 2PC.
+   - profile: span profiling under the flight recorder, with SLO gates.
+   - serve: a long-running workload with the introspection server and
+     the online auditor attached.
+   - top: a terminal dashboard polling a serve process. *)
 
 let pp_figure ~verbose f =
   let derived = f.Figures.derived () in
@@ -33,37 +43,34 @@ let figures_cmd id verbose =
   let ok = List.fold_left (fun acc f -> pp_figure ~verbose f && acc) true figs in
   if not ok then exit 1
 
-let scale_of domains txns think_us =
-  { Sim.Experiments.domains; txns; think_us }
-
-let select_tables ~scale ~seed ?(key_skew = 0.) ?(cells = 8) ?(shards = 1)
-    ?(cross_pct = 10.) ?wal_dir ?(group_commit = true) ?wal id =
+(* Run the table [id] names in [by_id @ extra], or every [by_id] table
+   when no id is given. *)
+let select ?(extra = []) by_id id =
   match id with
-  | None -> Sim.Experiments.all ~scale ~seed ?wal ()
-  | Some "queue" -> [ Sim.Experiments.exp_queue_enq ~scale ~seed ?wal () ]
-  | Some "queue-mixed" -> [ Sim.Experiments.exp_queue_mixed ~scale ~seed ?wal () ]
-  | Some "account" -> [ Sim.Experiments.exp_account ~scale ~seed ?wal () ]
-  | Some "semiqueue" -> [ Sim.Experiments.exp_semiqueue ~scale ~seed ?wal () ]
-  | Some "directory" ->
-    [ Sim.Experiments.exp_directory ~scale ~seed ~key_skew ~cells ?wal () ]
-  | Some "shard" ->
-    (* Sharded managers run their own per-shard WALs (plus the decision
-       log) under prefixed names — the shared experiments.wal does not
-       apply. *)
-    let shards = if shards > 1 then shards else 4 in
-    [
-      Sim.Shard_exp.exp_shard ~scale ~seed ~shards ~cross_pct ?wal_dir
-        ~fsync:(Option.is_some wal_dir) ~group_commit ();
-    ]
-  | Some other ->
-    Format.eprintf
-      "unknown experiment id %S (use queue, queue-mixed, account, semiqueue, directory, \
-       shard)@."
-      other;
-    exit 2
+  | None -> List.map (fun (_, run) -> run ()) by_id
+  | Some id -> (
+    let ids = by_id @ extra in
+    match List.assoc_opt id ids with
+    | Some run -> [ run () ]
+    | None ->
+      Format.eprintf "unknown experiment id %S (use %s)@." id
+        (String.concat ", " (List.map fst ids));
+      exit 2)
 
-let ensure_dir dir =
-  try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+let select_tables ~scale ~seed ?key_skew ?cells ?(shards = 1) ?(cross_pct = 10.) ?wal_dir
+    ?(group_commit = true) ?wal id =
+  (* Sharded managers run their own per-shard WALs (plus the decision
+     log) under prefixed names — the shared experiments.wal does not
+     apply. *)
+  let shard () =
+    Sim.Shard_exp.exp_shard ~scale ~seed
+      ~shards:(if shards > 1 then shards else 4)
+      ~cross_pct ?wal_dir ~fsync:(Option.is_some wal_dir) ~group_commit ()
+  in
+  select
+    (Sim.Experiments.by_id ~scale ~seed ?key_skew ?cells ?wal ())
+    ~extra:[ ("shard", shard) ]
+    id
 
 (* The audits share one exit contract: trace replay proving the run was
    not hybrid atomic, or a cycle in the waits-for graph (impossible
@@ -93,7 +100,7 @@ let with_out_file file f =
    machine's refusal mass statistically solid, so it pins its own scale
    (overriding --quick and the size options) and forces observability on
    — fired-conflict mass comes from the trace window. *)
-let gate_scale = { Sim.Experiments.domains = 4; txns = 150; think_us = 20. }
+let gate_scale = { Sim.Driver.domains = 4; txns = 150; think_us = 20. }
 
 let partition_gate_exit tables =
   match List.find_opt (fun t -> t.Sim.Experiments.id = "EXP-DIRECTORY") tables with
@@ -110,40 +117,25 @@ let partition_gate_exit tables =
       Format.eprintf "%s@." e;
       exit 1)
 
-let experiments_cmd id deterministic quick metrics seed wal_dir group_commit domains txns
-    think_us key_skew cells gate shards cross_pct =
+let experiments_cmd id deterministic scale metrics seed wal_dir group_commit key_skew cells
+    gate shards cross_pct =
   if gate then Obs.Control.set_enabled true;
   if deterministic then begin
-    let tables =
-      match id with
-      | None -> Sim.Det_experiments.all ()
-      | Some "queue" -> [ Sim.Det_experiments.det_queue_enq () ]
-      | Some "queue-mixed" -> [ Sim.Det_experiments.det_queue_mixed () ]
-      | Some "account" -> [ Sim.Det_experiments.det_account () ]
-      | Some "semiqueue" -> [ Sim.Det_experiments.det_semiqueue () ]
-      | Some other ->
-        Format.eprintf
-          "unknown experiment id %S (use queue, queue-mixed, account, semiqueue)@."
-          other;
-        exit 2
-    in
-    List.iter (fun t -> Format.printf "%a@." Sim.Det_experiments.pp_table t) tables
+    List.iter
+      (fun t -> Format.printf "%a@." Sim.Det_experiments.pp_table t)
+      (select Sim.Det_experiments.by_id id)
   end
   else begin
-    let scale =
-      if gate then gate_scale
-      else if quick then Sim.Experiments.quick_scale
-      else scale_of domains txns think_us
-    in
+    let scale = if gate then gate_scale else scale in
     Obs.Metrics.annotate "run.seed" (string_of_int seed);
     let sharded = id = Some "shard" in
-    if sharded then Option.iter ensure_dir wal_dir;
+    if sharded then Option.iter Sim.Driver.ensure_dir wal_dir;
     let wal =
       if sharded then None
       else
         Option.map
           (fun dir ->
-            ensure_dir dir;
+            Sim.Driver.ensure_dir dir;
             let w = Wal.Log.create ~group_commit (Filename.concat dir "experiments.wal") in
             Obs.Metrics.annotate "run.wal" (Wal.Log.path w);
             w)
@@ -172,12 +164,8 @@ let experiments_cmd id deterministic quick metrics seed wal_dir group_commit dom
     if gate then partition_gate_exit tables
   end
 
-let trace_cmd id quick conflicts waitfor chrome metrics_json seed domains txns think_us
-    key_skew cells =
+let trace_cmd id scale conflicts waitfor chrome metrics_json seed key_skew cells =
   Obs.Control.set_enabled true;
-  let scale =
-    if quick then Sim.Experiments.quick_scale else scale_of domains txns think_us
-  in
   Obs.Metrics.annotate "run.seed" (string_of_int seed);
   let tables = select_tables ~scale ~seed ~key_skew ~cells id in
   List.iter (fun t -> Format.printf "%a@." Sim.Experiments.pp_table t) tables;
@@ -299,11 +287,8 @@ let recover_cmd path =
   in
   if not all_ok then exit 1
 
-let crash_cmd quick seed dir group_commit domains txns think_us shards cross_pct =
-  let scale =
-    if quick then Sim.Experiments.quick_scale else scale_of domains txns think_us
-  in
-  ensure_dir dir;
+let crash_cmd scale seed dir group_commit shards cross_pct =
+  Sim.Driver.ensure_dir dir;
   Obs.Metrics.annotate "run.seed" (string_of_int seed);
   if shards > 1 then begin
     (* The sharded mode runs the 2PC kill-point matrix instead: a
@@ -322,8 +307,8 @@ let crash_cmd quick seed dir group_commit domains txns think_us shards cross_pct
 (* ------------------------------------------------------------------ *)
 (* profile: span-profiling run — flight recorder on, SLO verdicts out  *)
 
-let profile_cmd quick seed wal_dir group_commit domains txns think_us shards cross_pct
-    detail out report_file slo_specs chrome =
+let profile_cmd scale seed wal_dir group_commit shards cross_pct detail out report_file
+    slo_specs chrome =
   Obs.Control.set_enabled true;
   let targets =
     match Obs.Profile.targets_of_specs slo_specs with
@@ -332,11 +317,8 @@ let profile_cmd quick seed wal_dir group_commit domains txns think_us shards cro
       Format.eprintf "hcc profile: %s@." e;
       exit 2
   in
-  let scale =
-    if quick then Sim.Experiments.quick_scale else scale_of domains txns think_us
-  in
-  Option.iter ensure_dir wal_dir;
-  (match Filename.dirname out with "" | "." -> () | d -> ensure_dir d);
+  Option.iter Sim.Driver.ensure_dir wal_dir;
+  (match Filename.dirname out with "" | "." -> () | d -> Sim.Driver.ensure_dir d);
   (* Cross-shard spans need shards to cross; profile defaults to 3. *)
   let shards = if shards > 1 then shards else 3 in
   let r =
@@ -378,31 +360,96 @@ let profile_cmd quick seed wal_dir group_commit domains txns think_us shards cro
 (* ------------------------------------------------------------------ *)
 (* serve: long-running workload with the introspection server attached *)
 
+(* What a serve mode plugs into the one serve loop. *)
+type served = {
+  sharded : bool;
+  workload : string;  (* the banner's workload line *)
+  window : unit -> Obs.Trace.entry list;  (* the window behind /waitfor *)
+  rotate : (unit -> unit) option;  (* epoch rotation, once per tick *)
+  inject : unit -> bool;  (* forge a violation; [false] = not possible yet *)
+  injected : string;
+  stop : unit -> unit;  (* join the workers *)
+  close : unit -> string;  (* release the workload; returns the summary *)
+}
+
 (* Sharded serve: N managers on disjoint timestamp stripes, the 2PC
    coordinator between them, and the sampler continuously re-running the
    cross-shard audit over the live per-shard rings (sound on partial
    windows, so no epoch rotation is needed).  /metrics, /locks and
    /horizon aggregate every shard's instruments under shard labels. *)
-let serve_sharded quick port duration period_ms seed wal_dir group_commit domains think_us
+let serve_sharded ~seed ~wal_dir ~group_commit ~domains ~think_us ~shards ~cross_pct =
+  Obs.Metrics.annotate "run.mode" "serve-sharded";
+  Obs.Metrics.annotate "run.shards" (string_of_int shards);
+  let live =
+    Sim.Shard_live.start ?wal_dir ~group_commit
+      { Sim.Shard_live.default_config with shards; cross_pct; seed; domains; think_us }
+  in
+  {
+    sharded = true;
+    workload =
+      Printf.sprintf "%d shards, %d domains, %.0f%% cross-shard, think %.0fus" shards
+        domains cross_pct think_us;
+    window = (fun () -> Sim.Shard_live.stitched live);
+    rotate = None;
+    inject = (fun () -> Sim.Shard_live.inject_violation live);
+    injected = "injected a decided-abort commit forgery into shard 0's trace";
+    stop = (fun () -> Sim.Shard_live.stop live);
+    close =
+      (fun () ->
+        let st = Sim.Shard_live.stats live in
+        Sim.Shard_live.close live;
+        Printf.sprintf
+          "%d shards served %d committed (%d cross-shard 2PC), %d aborted attempts, %d \
+           cross aborts"
+          shards st.Sim.Shard_live.s_committed st.Sim.Shard_live.s_cross_commits
+          st.Sim.Shard_live.s_aborted st.Sim.Shard_live.s_cross_aborts);
+  }
+
+let serve_single ~seed ~wal_dir ~group_commit ~domains ~think_us ~period_ms =
+  Obs.Metrics.annotate "run.mode" "serve";
+  let wal =
+    Option.map
+      (fun dir ->
+        let w = Wal.Log.create ~group_commit (Filename.concat dir "live.wal") in
+        Wal.Log.register_introspection w;
+        Obs.Metrics.annotate "run.wal" (Wal.Log.path w);
+        w)
+      wal_dir
+  in
+  let live = Sim.Live.start ?wal { Sim.Live.default_config with domains; think_us; seed } in
+  {
+    sharded = false;
+    workload =
+      Printf.sprintf "%d domains, think %.0fus, epoch rotation every %dms" domains think_us
+        period_ms;
+    window = (fun () -> Obs.Trace.entries (Sim.Live.current_ring live));
+    rotate = Some (fun () -> Sim.Live.rotate live);
+    inject = (fun () -> Sim.Live.inject_violation live);
+    injected = "injected a forged double-dequeue into the live trace";
+    stop = (fun () -> Sim.Live.stop live);
+    close =
+      (fun () ->
+        Option.iter Wal.Log.close wal;
+        let st = Runtime.Manager.stats (Sim.Live.manager live) in
+        Printf.sprintf "served %d epochs; %d committed, %d aborted attempts"
+          (Sim.Live.epochs live) st.Runtime.Manager.committed st.Runtime.Manager.aborted);
+  }
+
+let serve_cmd quick port duration period_ms seed wal_dir group_commit domains think_us
     inject shards cross_pct =
   Obs.Control.set_enabled true;
   ignore (Obs.Control.install_sigusr2 ());
   Obs.Metrics.annotate "run.seed" (string_of_int seed);
-  Obs.Metrics.annotate "run.mode" "serve-sharded";
-  Obs.Metrics.annotate "run.shards" (string_of_int shards);
-  Option.iter ensure_dir wal_dir;
-  let config =
-    {
-      Sim.Shard_live.default_config with
-      shards;
-      cross_pct;
-      seed;
-      domains = (if quick then 2 else domains);
-      think_us = (if quick then 50. else think_us);
-    }
-  in
+  Option.iter Sim.Driver.ensure_dir wal_dir;
+  let domains, think_us = if quick then (2, 50.) else (domains, think_us) in
   let duration = if quick && duration = 0. then 10. else duration in
-  let live = Sim.Shard_live.start ?wal_dir ~group_commit config in
+  let s =
+    if shards > 1 then
+      serve_sharded ~seed ~wal_dir ~group_commit ~domains ~think_us ~shards ~cross_pct
+    else serve_single ~seed ~wal_dir ~group_commit ~domains ~think_us ~period_ms
+  in
+  (* Audit several times per rotation so every epoch's replay audit runs
+     before the next rotation replaces it. *)
   let sampler = Obs.Sampler.start ~period_ms:(max 50 (period_ms / 4)) () in
   (* Flight recorder at the always-on tier (span marks only); its
      flusher feeds the online span aggregator behind /slo. *)
@@ -411,17 +458,17 @@ let serve_sharded quick port duration period_ms seed wal_dir group_commit domain
   let routes =
     ( "/waitfor",
       fun _ ->
-        Obs.Server.respond_json
-          (Obs.Waitfor.to_json (Obs.Waitfor.analyze (Sim.Shard_live.stitched live))) )
+        Obs.Server.respond_json (Obs.Waitfor.to_json (Obs.Waitfor.analyze (s.window ()))) )
     :: Obs.Server.default_routes ~slo:(fun () -> Obs.Profile.to_json slo_agg) ()
   in
   let server = Obs.Server.start ~port ~routes () in
   Format.printf
-    "hcc: serving sharded introspection on http://127.0.0.1:%d@.  endpoints: /metrics \
-     /locks /horizon /waitfor /slo /health /control (per-shard, shard-labelled)@.  \
-     workload: %d shards, %d domains, %.0f%% cross-shard, think %.0fus%s@.%!"
-    (Obs.Server.port server) shards config.Sim.Shard_live.domains cross_pct
-    config.Sim.Shard_live.think_us
+    "hcc: serving %sintrospection on http://127.0.0.1:%d@.  endpoints: /metrics /locks \
+     /horizon /waitfor /slo /health /control%s@.  workload: %s%s@.%!"
+    (if s.sharded then "sharded " else "")
+    (Obs.Server.port server)
+    (if s.sharded then " (per-shard, shard-labelled)" else "")
+    s.workload
     (if duration > 0. then Printf.sprintf ", running %.0fs" duration
      else " (Ctrl-C to stop)");
   let stop_requested = Atomic.make false in
@@ -438,125 +485,33 @@ let serve_sharded quick port duration period_ms seed wal_dir group_commit domain
   while not (finished ()) do
     Unix.sleepf (float_of_int period_ms /. 1000.);
     if inject && not !injected then begin
-      injected := Sim.Shard_live.inject_violation live;
-      if !injected then
-        Format.printf
-          "hcc: injected a decided-abort commit forgery into shard 0's trace@.%!"
-    end
-  done;
-  Sim.Shard_live.stop live;
-  (* One last audit pass over the final (now quiescent) windows. *)
-  ignore (Obs.Sampler.run_once ());
-  Obs.Sampler.stop sampler;
-  Obs.Flight.stop flight;
-  Obs.Server.stop server;
-  let stats = Sim.Shard_live.stats live in
-  Sim.Shard_live.close live;
-  Format.printf
-    "hcc: %d shards served %d committed (%d cross-shard 2PC), %d aborted attempts, %d \
-     cross aborts@."
-    shards stats.Sim.Shard_live.s_committed stats.Sim.Shard_live.s_cross_commits
-    stats.Sim.Shard_live.s_aborted stats.Sim.Shard_live.s_cross_aborts;
-  if Obs.Sampler.healthy () then Format.printf "audit: clean (0 violations)@."
-  else begin
-    Format.eprintf "audit: %d violation(s); last: %s@." (Obs.Sampler.violations ())
-      (Option.value ~default:"unknown" (Obs.Sampler.last_error ()));
-    exit 1
-  end
-
-let serve_single quick port duration period_ms seed wal_dir group_commit domains think_us
-    inject =
-  Obs.Control.set_enabled true;
-  ignore (Obs.Control.install_sigusr2 ());
-  Obs.Metrics.annotate "run.seed" (string_of_int seed);
-  Obs.Metrics.annotate "run.mode" "serve";
-  let wal =
-    Option.map
-      (fun dir ->
-        ensure_dir dir;
-        let w = Wal.Log.create ~group_commit (Filename.concat dir "live.wal") in
-        Wal.Log.register_introspection w;
-        Obs.Metrics.annotate "run.wal" (Wal.Log.path w);
-        w)
-      wal_dir
-  in
-  let config =
-    if quick then { Sim.Live.default_config with domains = 2; think_us = 50.; seed }
-    else { Sim.Live.default_config with domains; think_us; seed }
-  in
-  let duration = if quick && duration = 0. then 10. else duration in
-  let live = Sim.Live.start ?wal config in
-  (* Audit several times per rotation so every epoch's replay audit runs
-     before the next rotation replaces it. *)
-  let sampler = Obs.Sampler.start ~period_ms:(max 50 (period_ms / 4)) () in
-  let slo_agg = Obs.Profile.create () in
-  let flight = Obs.Flight.start ~observer:(Obs.Profile.feed slo_agg) () in
-  let routes =
-    ( "/waitfor",
-      fun _ ->
-        Obs.Server.respond_json
-          (Obs.Waitfor.to_json
-             (Obs.Waitfor.analyze (Obs.Trace.entries (Sim.Live.current_ring live)))) )
-    :: Obs.Server.default_routes ~slo:(fun () -> Obs.Profile.to_json slo_agg) ()
-  in
-  let server = Obs.Server.start ~port ~routes () in
-  Format.printf
-    "hcc: serving introspection on http://127.0.0.1:%d@.  endpoints: /metrics /locks \
-     /horizon /waitfor /slo /health /control@.  workload: %d domains, think %.0fus, \
-     epoch rotation every %dms%s@.%!"
-    (Obs.Server.port server) config.Sim.Live.domains config.Sim.Live.think_us period_ms
-    (if duration > 0. then Printf.sprintf ", running %.0fs" duration else " (Ctrl-C to stop)");
-  let stop_requested = Atomic.make false in
-  (try
-     Sys.set_signal Sys.sigint
-       (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))
-   with Invalid_argument _ | Sys_error _ -> ());
-  let deadline = if duration > 0. then Some (Unix.gettimeofday () +. duration) else None in
-  let injected = ref false in
-  let finished () =
-    Atomic.get stop_requested
-    || match deadline with Some d -> Unix.gettimeofday () > d | None -> false
-  in
-  while not (finished ()) do
-    Unix.sleepf (float_of_int period_ms /. 1000.);
-    if inject && not !injected then begin
-      injected := Sim.Live.inject_violation live;
-      if !injected then Format.printf "hcc: injected a forged double-dequeue into the live trace@.%!"
+      injected := s.inject ();
+      if !injected then Format.printf "hcc: %s@.%!" s.injected
     end;
-    Sim.Live.rotate live
+    Option.iter (fun rotate -> rotate ()) s.rotate
   done;
-  Sim.Live.stop live;
-  (* Drain the epoch pipeline: each rotation promotes one retired epoch
-     to auditable, and the audit must run before the next rotation
-     replaces it. *)
-  Sim.Live.rotate live;
-  ignore (Obs.Sampler.run_once ());
-  Sim.Live.rotate live;
-  ignore (Obs.Sampler.run_once ());
+  s.stop ();
+  (* One last audit pass over the final (now quiescent) windows.  Under
+     epoch rotation, drain the epoch pipeline first: each rotation
+     promotes one retired epoch to auditable, and the audit must run
+     before the next rotation replaces it. *)
+  (match s.rotate with
+  | None -> ignore (Obs.Sampler.run_once ())
+  | Some rotate ->
+    for _ = 1 to 2 do
+      rotate ();
+      ignore (Obs.Sampler.run_once ())
+    done);
   Obs.Sampler.stop sampler;
   Obs.Flight.stop flight;
   Obs.Server.stop server;
-  Option.iter Wal.Log.close wal;
-  let stats = Runtime.Manager.stats (Sim.Live.manager live) in
-  Format.printf
-    "hcc: served %d epochs; %d committed, %d aborted attempts@."
-    (Sim.Live.epochs live) stats.Runtime.Manager.committed
-    stats.Runtime.Manager.aborted;
+  Format.printf "hcc: %s@." (s.close ());
   if Obs.Sampler.healthy () then Format.printf "audit: clean (0 violations)@."
   else begin
     Format.eprintf "audit: %d violation(s); last: %s@." (Obs.Sampler.violations ())
       (Option.value ~default:"unknown" (Obs.Sampler.last_error ()));
     exit 1
   end
-
-let serve_cmd quick port duration period_ms seed wal_dir group_commit domains think_us
-    inject shards cross_pct =
-  if shards > 1 then
-    serve_sharded quick port duration period_ms seed wal_dir group_commit domains think_us
-      inject shards cross_pct
-  else
-    serve_single quick port duration period_ms seed wal_dir group_commit domains think_us
-      inject
 
 (* ------------------------------------------------------------------ *)
 (* top: terminal dashboard polling a serve process                     *)
@@ -787,6 +742,13 @@ let quick_arg =
     & info [ "quick" ]
         ~doc:"Use the small test scale (2 domains x 20 txns); overrides the size options.")
 
+(* The run size: --quick, or --domains x --txns with --think-us. *)
+let scale_t =
+  Term.(
+    const (fun quick domains txns think_us ->
+        if quick then Sim.Driver.quick_scale else { Sim.Driver.domains; txns; think_us })
+    $ quick_arg $ domains_arg $ txns_arg $ think_arg)
+
 let metrics_arg =
   Arg.(
     value & flag
@@ -884,9 +846,9 @@ let experiments_t =
   Cmd.v
     (Cmd.info "experiments" ~doc:"Run the measured concurrency experiments")
     Term.(
-      const experiments_cmd $ id_arg $ deterministic_arg $ quick_arg $ metrics_arg
-      $ seed_arg $ wal_arg $ group_commit_arg $ domains_arg $ txns_arg $ think_arg
-      $ key_skew_arg $ cells_arg $ partition_gate_arg $ shards_arg $ cross_pct_arg)
+      const experiments_cmd $ id_arg $ deterministic_arg $ scale_t $ metrics_arg $ seed_arg
+      $ wal_arg $ group_commit_arg $ key_skew_arg $ cells_arg $ partition_gate_arg
+      $ shards_arg $ cross_pct_arg)
 
 let conflicts_arg =
   Arg.(
@@ -930,9 +892,8 @@ let trace_t =
           conflict attribution, wait-for audit, Chrome timeline, metrics JSON.  Exits \
           non-zero on an atomicity violation or a waits-for cycle.")
     Term.(
-      const trace_cmd $ id_arg $ quick_arg $ conflicts_arg $ waitfor_arg $ chrome_arg
-      $ metrics_json_arg $ seed_arg $ domains_arg $ txns_arg $ think_arg $ key_skew_arg
-      $ cells_arg)
+      const trace_cmd $ id_arg $ scale_t $ conflicts_arg $ waitfor_arg $ chrome_arg
+      $ metrics_json_arg $ seed_arg $ key_skew_arg $ cells_arg)
 
 let history_t =
   Cmd.v
@@ -982,8 +943,8 @@ let crash_t =
           modes, with recovery checked against the decision log.  Exits non-zero on any \
           failure.")
     Term.(
-      const crash_cmd $ quick_arg $ seed_arg $ crash_dir_arg $ group_commit_arg
-      $ domains_arg $ txns_arg $ think_arg $ shards_arg $ cross_pct_arg)
+      const crash_cmd $ scale_t $ seed_arg $ crash_dir_arg $ group_commit_arg $ shards_arg
+      $ cross_pct_arg)
 
 let profile_detail_arg =
   Arg.(
@@ -1035,9 +996,9 @@ let profile_t =
           transactions.  $(b,--slo) targets turn the tail into a gate: any breach exits \
           non-zero.  $(b,--chrome) exports a phase-nested span timeline.")
     Term.(
-      const profile_cmd $ quick_arg $ seed_arg $ wal_arg $ group_commit_arg $ domains_arg
-      $ txns_arg $ think_arg $ shards_arg $ cross_pct_arg $ profile_detail_arg
-      $ profile_out_arg $ profile_report_arg $ slo_arg $ chrome_arg)
+      const profile_cmd $ scale_t $ seed_arg $ wal_arg $ group_commit_arg $ shards_arg
+      $ cross_pct_arg $ profile_detail_arg $ profile_out_arg $ profile_report_arg $ slo_arg
+      $ chrome_arg)
 
 let port_arg default =
   Arg.(

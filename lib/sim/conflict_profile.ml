@@ -51,13 +51,13 @@ module Keys = struct
   (* Deterministic avalanche mix of (seed, domain, seq, k) to [0, 1). *)
   let unit_float ~seed ~domain ~seq ~k =
     let h = ref ((seed * 0x9e3779b9) + 0x2545f) in
-    let mix v =
+    let absorb v =
       h := (!h lxor ((v + 0x7f4a7c15) * 0x85ebca6b)) * 0xc2b2ae35 land max_int;
       h := !h lxor (!h lsr 13)
     in
-    mix domain;
-    mix seq;
-    mix k;
+    absorb domain;
+    absorb seq;
+    absorb k;
     float_of_int (!h land 0x3fffffff) /. 1073741824.
 
   let draw t ~seed ~domain ~seq ~k =

@@ -23,10 +23,6 @@ let pp_run ppf r =
   | fs ->
     List.iter (fun (kp, e) -> Format.fprintf ppf "   FAIL at %s: %s@." kp e) fs
 
-(* Same decorrelation scheme as Experiments.pseudo. *)
-let pseudo ~seed d seq k =
-  ((seed * 15485863) + (d * 7919) + (seq * 104729) + (k * 1299709)) land 0x3fffffff
-
 module Make (D : Wal.Codec.DURABLE) = struct
   module O = Runtime.Atomic_obj.Make (D)
   module R = Wal.Recover.Make (D)
@@ -38,34 +34,14 @@ module Make (D : Wal.Codec.DURABLE) = struct
      crash images are cut from the finished file, so durability across
      power loss is not what is under test — and the rewrite threshold is
      effectively infinite so the full record history survives for the
-     reference replay. *)
-  let run ?(group_commit = true) ~id ~dir ~scale ~limit ~conflict ~seed_ops ~body () =
+     reference replay.  [workload] seeds the object through the manager
+     and returns the transaction body. *)
+  let run ?(group_commit = true) ~id ~dir ~scale ~limit ~conflict ~workload () =
     let path = Filename.concat dir (id ^ ".wal") in
     let w = Wal.Log.create ~fsync:false ~group_commit ~compact_threshold:max_int path in
     let mgr = Runtime.Manager.create ~wal:w () in
     let o = O.create ~wal:(w, D.codec) ~conflict () in
-    (match seed_ops with
-    | 0, _ -> ()
-    | n, f ->
-      let remaining = ref n in
-      while !remaining > 0 do
-        let batch = min 50 !remaining in
-        Runtime.Manager.run mgr (fun txn ->
-            for k = 0 to batch - 1 do
-              f o txn (n - !remaining + k)
-            done);
-        remaining := !remaining - batch
-      done);
-    let config =
-      {
-        Driver.domains = scale.Experiments.domains;
-        txns_per_domain = scale.Experiments.txns;
-        think_us = scale.Experiments.think_us;
-      }
-    in
-    let result =
-      Driver.run config ~mgr (fun ~domain ~seq txn -> body o config ~domain ~seq txn)
-    in
+    let result = Driver.run scale ~mgr (workload o mgr) in
     let live = Wal.Log.live w in
     Wal.Log.close w;
     let live_states = O.committed_states o in
@@ -117,60 +93,38 @@ module A = Make (Adt.Account)
 
 let default_limit = 400
 
-let queue ?(scale = Experiments.quick_scale) ?(seed = 0) ?group_commit ~dir () =
-  let ops = 3 in
-  let consumer_domains = scale.Experiments.domains / 2 in
-  let total_deqs = consumer_domains * scale.Experiments.txns * ops in
+let queue ?(scale = Driver.quick_scale) ?(seed = 0) ?group_commit ~dir () =
   Q.run ?group_commit ~id:"queue" ~dir ~scale ~limit:default_limit
     ~conflict:Adt.Fifo_queue.conflict_hybrid
-    ~seed_ops:
-      ( total_deqs,
-        fun q txn k -> ignore (Q.O.invoke q txn (Adt.Fifo_queue.Enq (1 + (k mod 2)))) )
-    ~body:(fun q config ~domain ~seq txn ->
-      let producing = domain >= consumer_domains in
-      for k = 0 to ops - 1 do
-        if producing then
-          ignore
-            (Q.O.invoke q txn (Adt.Fifo_queue.Enq (1 + (pseudo ~seed domain seq k mod 2))))
-        else ignore (Q.O.invoke q txn Adt.Fifo_queue.Deq);
-        Driver.think config
-      done)
+    ~workload:(fun q ->
+      Driver.producer_consumer scale ~seed ~ops:3
+        ~produce:(fun txn v -> ignore (Q.O.invoke q txn (Adt.Fifo_queue.Enq v)))
+        ~consume:(fun txn -> ignore (Q.O.invoke q txn Adt.Fifo_queue.Deq)))
     ()
 
-let semiqueue ?(scale = Experiments.quick_scale) ?(seed = 0) ?group_commit ~dir () =
-  let ops = 3 in
-  let consumer_domains = scale.Experiments.domains / 2 in
-  let total_rems = consumer_domains * scale.Experiments.txns * ops in
+let semiqueue ?(scale = Driver.quick_scale) ?(seed = 0) ?group_commit ~dir () =
   S.run ?group_commit ~id:"semiqueue" ~dir ~scale ~limit:default_limit
     ~conflict:Adt.Semiqueue.conflict_hybrid
-    ~seed_ops:
-      ( total_rems,
-        fun sq txn k -> ignore (S.O.invoke sq txn (Adt.Semiqueue.Ins (1 + (k mod 2)))) )
-    ~body:(fun sq config ~domain ~seq txn ->
-      let producing = domain >= consumer_domains in
-      for k = 0 to ops - 1 do
-        if producing then
-          ignore
-            (S.O.invoke sq txn (Adt.Semiqueue.Ins (1 + (pseudo ~seed domain seq k mod 2))))
-        else ignore (S.O.invoke sq txn Adt.Semiqueue.Rem);
-        Driver.think config
-      done)
+    ~workload:(fun sq ->
+      Driver.producer_consumer scale ~seed ~ops:3
+        ~produce:(fun txn v -> ignore (S.O.invoke sq txn (Adt.Semiqueue.Ins v)))
+        ~consume:(fun txn -> ignore (S.O.invoke sq txn Adt.Semiqueue.Rem)))
     ()
 
-let account ?(scale = Experiments.quick_scale) ?(seed = 0) ?group_commit ~dir () =
-  let ops = 3 in
+let account ?(scale = Driver.quick_scale) ?(seed = 0) ?group_commit ~dir () =
   A.run ?group_commit ~id:"account" ~dir ~scale ~limit:default_limit
     ~conflict:Adt.Account.conflict_hybrid
-    ~seed_ops:
-      (1, fun acc txn _ -> ignore (A.O.invoke acc txn (Adt.Account.Credit 1_000_000)))
-    ~body:(fun acc config ~domain ~seq txn ->
-      for k = 0 to ops - 1 do
-        let amount = 1 + (pseudo ~seed domain seq k mod 9) in
-        (if (domain + seq) mod 2 = 0 then
-           ignore (A.O.invoke acc txn (Adt.Account.Credit amount))
-         else ignore (A.O.invoke acc txn (Adt.Account.Debit amount)));
-        Driver.think config
-      done)
+    ~workload:(fun acc mgr ->
+      Runtime.Manager.run mgr (fun txn ->
+          ignore (A.O.invoke acc txn (Adt.Account.Credit 1_000_000)));
+      fun ~domain ~seq txn ->
+        for k = 0 to 2 do
+          let amount = 1 + (Driver.pseudo ~seed domain seq k mod 9) in
+          (if (domain + seq) mod 2 = 0 then
+             ignore (A.O.invoke acc txn (Adt.Account.Credit amount))
+           else ignore (A.O.invoke acc txn (Adt.Account.Debit amount)));
+          Driver.think scale.think_us
+        done)
     ()
 
 let all ?scale ?seed ?group_commit ~dir () =

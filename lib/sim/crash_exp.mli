@@ -25,7 +25,7 @@ val ok : run -> bool
 val pp_run : Format.formatter -> run -> unit
 
 val queue :
-  ?scale:Experiments.scale -> ?seed:int -> ?group_commit:bool -> dir:string -> unit -> run
+  ?scale:Driver.scale -> ?seed:int -> ?group_commit:bool -> dir:string -> unit -> run
 (** Producer/consumer FIFO queue under the hybrid relation.
     [group_commit] (default [true]) selects the log's sync mode
     ({!Wal.Log.create}): both modes must recover identically at every
@@ -33,16 +33,16 @@ val queue :
     never their order. *)
 
 val semiqueue :
-  ?scale:Experiments.scale -> ?seed:int -> ?group_commit:bool -> dir:string -> unit -> run
+  ?scale:Driver.scale -> ?seed:int -> ?group_commit:bool -> dir:string -> unit -> run
 (** Producer/consumer SemiQueue — nondeterministic [Rem] makes the
     recovered value a state {e set}, exercising set-equivalence. *)
 
 val account :
-  ?scale:Experiments.scale -> ?seed:int -> ?group_commit:bool -> dir:string -> unit -> run
+  ?scale:Driver.scale -> ?seed:int -> ?group_commit:bool -> dir:string -> unit -> run
 (** Credit/debit mix on one account. *)
 
 val all :
-  ?scale:Experiments.scale ->
+  ?scale:Driver.scale ->
   ?seed:int ->
   ?group_commit:bool ->
   dir:string ->

@@ -23,8 +23,6 @@ let pp_table ppf t =
         r.restarts r.conflicts r.blocked r.makespan r.concurrency)
     t.rows
 
-let pseudo a b c = ((a * 7919) + (b * 104729) + (c * 1299709)) land 0x3fffffff
-
 module DQ = Det_sim.Make (Adt.Fifo_queue)
 module DS = Det_sim.Make (Adt.Semiqueue)
 module DA = Det_sim.Make (Adt.Account)
@@ -73,10 +71,23 @@ let queue_relations =
     ("2PL read/write", Adt.Fifo_queue.conflict_rw);
   ]
 
+(* Operation [j] of worker [w]'s transaction [k] draws [1 + pseudo mod m]. *)
+let value w k j m = 1 + (Driver.pseudo ~seed:0 w k j mod m)
+
+(* The producer/consumer scripts: the first half of the workers consume,
+   the rest produce. *)
+let pc_scripts ~produce ~consume =
+  Array.init workers (fun w ->
+      List.init txns_per_worker (fun k ->
+          List.init 3 (fun j -> if w < workers / 2 then consume else produce (value w k j 2))))
+
+let queue_pc_scripts () =
+  pc_scripts ~produce:(fun v -> Adt.Fifo_queue.Enq v) ~consume:Adt.Fifo_queue.Deq
+
 let det_queue_enq () =
   let script w =
     List.init txns_per_worker (fun k ->
-        List.init 4 (fun j -> Adt.Fifo_queue.Enq (1 + (pseudo w k j mod 2))))
+        List.init 4 (fun j -> Adt.Fifo_queue.Enq (value w k j 2)))
   in
   let scripts = Array.init workers script in
   let rows =
@@ -90,13 +101,7 @@ let det_queue_enq () =
 let queue_prefill = List.init 300 (fun k -> Adt.Fifo_queue.Enq (1 + (k mod 2)))
 
 let det_queue_mixed () =
-  let consumers = workers / 2 in
-  let script w =
-    List.init txns_per_worker (fun k ->
-        if w < consumers then List.init 3 (fun _ -> Adt.Fifo_queue.Deq)
-        else List.init 3 (fun j -> Adt.Fifo_queue.Enq (1 + (pseudo w k j mod 2))))
-  in
-  let scripts = Array.init workers script in
+  let scripts = queue_pc_scripts () in
   let rows =
     List.map
       (fun (label, conflict) -> row_q label (DQ.run ~prefill:queue_prefill ~conflict scripts))
@@ -113,8 +118,8 @@ let det_account () =
     List.init txns_per_worker (fun k ->
         if k mod 12 = 3 * w then [ Adt.Account.Post 1; Adt.Account.Credit 1 ]
         else if (w + k) mod 2 = 0 then
-          List.init 3 (fun j -> Adt.Account.Credit (1 + (pseudo w k j mod 9)))
-        else List.init 3 (fun j -> Adt.Account.Debit (1 + (pseudo w k j mod 9))))
+          List.init 3 (fun j -> Adt.Account.Credit (value w k j 9))
+        else List.init 3 (fun j -> Adt.Account.Debit (value w k j 9)))
   in
   let scripts = Array.init workers script in
   let rows =
@@ -130,31 +135,28 @@ let det_account () =
   { id = "EXP-ACCOUNT"; title = "credit/post/debit mix"; params; rows }
 
 let det_semiqueue () =
-  let consumers = workers / 2 in
   let semi_prefill = List.init 300 (fun k -> Adt.Semiqueue.Ins (1 + (k mod 2))) in
-  let semi_script w =
-    List.init txns_per_worker (fun k ->
-        if w < consumers then List.init 3 (fun _ -> Adt.Semiqueue.Rem)
-        else List.init 3 (fun j -> Adt.Semiqueue.Ins (1 + (pseudo w k j mod 2))))
-  in
-  let queue_script w =
-    List.init txns_per_worker (fun k ->
-        if w < consumers then List.init 3 (fun _ -> Adt.Fifo_queue.Deq)
-        else List.init 3 (fun j -> Adt.Fifo_queue.Enq (1 + (pseudo w k j mod 2))))
-  in
   let rows =
     [
       row_s "SemiQueue hybrid (fig 4-4)"
         (DS.run ~prefill:semi_prefill ~conflict:Adt.Semiqueue.conflict_hybrid
-           (Array.init workers semi_script));
+           (pc_scripts ~produce:(fun v -> Adt.Semiqueue.Ins v) ~consume:Adt.Semiqueue.Rem));
       row_q "Queue hybrid (fig 4-2)"
         (DQ.run ~prefill:queue_prefill ~conflict:Adt.Fifo_queue.conflict_hybrid
-           (Array.init workers queue_script));
+           (queue_pc_scripts ()));
       row_q "Queue fig 4-3"
         (DQ.run ~prefill:queue_prefill ~conflict:Adt.Fifo_queue.conflict_fig_4_3
-           (Array.init workers queue_script));
+           (queue_pc_scripts ()));
     ]
   in
   { id = "EXP-SEMIQ"; title = "SemiQueue vs FIFO Queue"; params; rows }
 
-let all () = [ det_queue_enq (); det_queue_mixed (); det_account (); det_semiqueue () ]
+let by_id =
+  [
+    ("queue", det_queue_enq);
+    ("queue-mixed", det_queue_mixed);
+    ("account", det_account);
+    ("semiqueue", det_semiqueue);
+  ]
+
+let all () = List.map (fun (_, run) -> run ()) by_id

@@ -24,10 +24,12 @@ type table = { id : string; title : string; params : string; rows : row list }
 val pp_table : Format.formatter -> table -> unit
 
 val workers : int
-val txns_per_worker : int
 
 val det_queue_enq : unit -> table
 val det_queue_mixed : unit -> table
 val det_account : unit -> table
 val det_semiqueue : unit -> table
+val by_id : (string * (unit -> table)) list
+(** Every table above by its command-line id, in run order. *)
+
 val all : unit -> table list

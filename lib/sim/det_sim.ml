@@ -26,11 +26,6 @@ module Make (A : Spec.Adt_sig.S) = struct
   let concurrency r =
     if r.makespan = 0 then 1. else float_of_int r.busy /. float_of_int r.makespan
 
-  let pp_result ppf r =
-    Format.fprintf ppf
-      "committed=%d restarts=%d conflicts=%d blocked=%d makespan=%d concurrency=%.2f"
-      r.committed r.restarts r.conflicts r.blocked r.makespan (concurrency r)
-
   (* Per-worker cursor through its script. *)
   type worker = {
     script : A.inv list array;

@@ -57,6 +57,4 @@ module Make (A : Spec.Adt_sig.S) : sig
       [max_attempts] or the simulation cannot make progress (every
       remaining worker blocked on a partial operation with nothing left
       to commit). *)
-
-  val pp_result : Format.formatter -> result -> unit
 end

@@ -1,8 +1,12 @@
-(** Closed-loop concurrent workload driver.
+(** Concurrent workload driver: the run size, the domain runners and
+    the workload pieces every experiment shares.
 
-    Spawns [domains] OCaml domains; each runs [txns_per_domain]
-    transactions back to back through a shared {!Runtime.Manager}.  A
-    workload supplies the body of transaction [seq] on domain [d].
+    {!loop} spawns [domains] OCaml domains; each runs [txns] steps back
+    to back.  A step is not wrapped in a transaction — coordinator
+    bodies run their own — and {!run} is the common case of one
+    {!Runtime.Manager} transaction per step.  {!start} runs a step until
+    {!stop}, for the long-running serve workloads.
+
     [think_us] sleeps between a transaction's operations (inside the
     body, via {!think}), modelling per-operation work done while holding
     locks — without it, transactions commit too fast for conflicts to
@@ -10,11 +14,12 @@
     lets admitted concurrency show up as overlapping waits even on
     single-core hosts. *)
 
-type config = {
-  domains : int;
-  txns_per_domain : int;
-  think_us : float;  (** passed to the body via {!think} *)
-}
+type scale = { domains : int; txns : int; think_us : float }
+(** [txns] is per domain. *)
+
+val default_scale : scale
+val quick_scale : scale
+(** Small sizes for tests. *)
 
 type result = {
   committed : int;
@@ -23,14 +28,53 @@ type result = {
   throughput : float;  (** committed transactions per second *)
 }
 
-val think : config -> unit
-(** Sleep for [think_us] microseconds. *)
+val think : float -> unit
+(** [think us] sleeps for [us] microseconds (none when [us <= 0]). *)
+
+val pseudo : seed:int -> int -> int -> int -> int
+(** [pseudo ~seed domain seq k]: the deterministic workload value
+    sequence, decorrelated across its three indices; [seed] shifts the
+    whole sequence ([0] reproduces the historical values). *)
+
+val loop : scale -> (domain:int -> seq:int -> 'a) -> 'a array array * float
+(** Closed loop: domain [d] runs [step ~domain:d ~seq] for [seq = 0 ..
+    txns - 1] ([think_us] is the step's business).  Returns each
+    domain's step results in [seq] order, and the wall-clock seconds. *)
 
 val run :
-  config ->
+  scale ->
   mgr:Runtime.Manager.t ->
   (domain:int -> seq:int -> Runtime.Txn_rt.t -> unit) ->
   result
-(** Run the workload to completion and measure. *)
+(** {!loop} with each step one [mgr] transaction; measured from [mgr]'s
+    counters. *)
 
-val pp_result : Format.formatter -> result -> unit
+type workers
+
+val start : domains:int -> (domain:int -> seq:int -> unit) -> workers
+(** Spawn [domains] domains, each running [step] with [seq = 0, 1, ...]
+    until {!stop}. *)
+
+val stop : workers -> unit
+(** Signal the workers and join their domains.  Idempotent. *)
+
+val producer_consumer :
+  scale ->
+  seed:int ->
+  ops:int ->
+  produce:(Runtime.Txn_rt.t -> int -> unit) ->
+  consume:(Runtime.Txn_rt.t -> unit) ->
+  Runtime.Manager.t ->
+  domain:int ->
+  seq:int ->
+  Runtime.Txn_rt.t ->
+  unit
+(** The producer/consumer workload over one container.  The first
+    [domains / 2] domains consume, the rest produce [1 + pseudo mod 2];
+    each transaction runs [ops] operations with a {!think} after each.
+    Applied to a manager, it first seeds the container through it with
+    one item per consume the run will make, so no consume finds it
+    empty, then returns the body. *)
+
+val ensure_dir : string -> unit
+(** [mkdir dir], tolerating an existing one. *)

@@ -14,11 +14,6 @@ type row = {
 
 type table = { id : string; title : string; params : string; rows : row list }
 
-type scale = { domains : int; txns : int; think_us : float }
-
-let default_scale = { domains = 4; txns = 100; think_us = 100. }
-let quick_scale = { domains = 2; txns = 20; think_us = 10. }
-
 let pp_atomic ppf = function
   | None -> Format.pp_print_string ppf "-"
   | Some (Ok ()) -> Format.pp_print_string ppf "ok"
@@ -46,22 +41,23 @@ let violations tables =
         t.rows)
     tables
 
+let waitfor_verdict rep =
+  if Obs.Waitfor.ok rep then Ok ()
+  else
+    Error
+      (String.concat "; "
+         (List.map
+            (fun loop -> "cycle " ^ String.concat " -> " (List.map string_of_int loop))
+            rep.Obs.Waitfor.cycles))
+
 let waitfor_failures tables =
   List.concat_map
     (fun t ->
       List.filter_map
         (fun r ->
-          match r.waitfor with
-          | Some rep when not (Obs.Waitfor.ok rep) ->
-            Some
-              ( t.id,
-                r.label,
-                String.concat "; "
-                  (List.map
-                     (fun loop ->
-                       "cycle " ^ String.concat " -> " (List.map string_of_int loop))
-                     rep.Obs.Waitfor.cycles) )
-          | Some _ | None -> None)
+          match Option.map waitfor_verdict r.waitfor with
+          | Some (Error cycles) -> Some (t.id, r.label, cycles)
+          | Some (Ok ()) | None -> None)
         t.rows)
     tables
 
@@ -125,13 +121,7 @@ let pp_waitfor ppf t =
         Obs.Waitfor.pp ppf rep)
     t.rows
 
-(* Deterministic value sequence, decorrelated across (domain, seq, k);
-   [seed] shifts the whole sequence so reruns can vary the workload
-   reproducibly ([seed = 0] reproduces the historical values). *)
-let pseudo ~seed d seq k =
-  ((seed * 15485863) + (d * 7919) + (seq * 104729) + (k * 1299709)) land 0x3fffffff
-
-let params_of ?(seed = 0) scale ops =
+let params_of ?(seed = 0) (scale : Driver.scale) ops =
   Printf.sprintf "%d domains x %d txns x %d ops/txn, think %.0fus, seed %d" scale.domains
     scale.txns ops scale.think_us seed
 
@@ -159,14 +149,7 @@ let measure ?wal ~label ~conflict_prob ~scale ~setup () =
   if tracing then Obs.Trace.clear Obs.Trace.global;
   let mgr = Runtime.Manager.create ?wal () in
   let body, stats, replay = setup mgr in
-  let config =
-    {
-      Driver.domains = scale.domains;
-      txns_per_domain = scale.txns;
-      think_us = scale.think_us;
-    }
-  in
-  let result = Driver.run config ~mgr (fun ~domain ~seq txn -> body config ~domain ~seq txn) in
+  let result = Driver.run scale ~mgr body in
   let conflicts, blocked = stats () in
   let window = if tracing then Obs.Trace.entries Obs.Trace.global else [] in
   (* A wrapped ring has lost the run's oldest invocations, so replaying
@@ -196,19 +179,6 @@ let measure ?wal ~label ~conflict_prob ~scale ~setup () =
     window;
   }
 
-(* Seed an object with [n] committed operations, [per_txn] at a time so
-   the horizon can fold each batch into the version as we go. *)
-let seed_with mgr ~n ~per_txn f =
-  let remaining = ref n in
-  while !remaining > 0 do
-    let batch = min per_txn !remaining in
-    Runtime.Manager.run mgr (fun txn ->
-        for k = 0 to batch - 1 do
-          f txn (n - !remaining + k)
-        done);
-    remaining := !remaining - batch
-  done
-
 (* ------------------------------------------------------------------ *)
 (* EXP-QUEUE(a): enqueue-only                                          *)
 
@@ -222,7 +192,7 @@ let queue_relations =
 let enq_only_weights (i, _) =
   match i with Adt.Fifo_queue.Enq _ -> 1. | Adt.Fifo_queue.Deq -> 0.
 
-let exp_queue_enq ?(scale = default_scale) ?(seed = 0) ?wal () =
+let exp_queue_enq ?(scale = Driver.default_scale) ?(seed = 0) ?wal () =
   let ops = 4 in
   let rows =
     List.map
@@ -236,11 +206,11 @@ let exp_queue_enq ?(scale = default_scale) ?(seed = 0) ?wal () =
                 ?wal:(durable mgr Adt.Fifo_queue.codec)
                 ~conflict ~op_label:Adt.Fifo_queue.op_label ()
             in
-            let body config ~domain ~seq txn =
+            let body ~domain ~seq txn =
               for k = 0 to ops - 1 do
-                let v = 1 + (pseudo ~seed domain seq k mod 2) in
+                let v = 1 + (Driver.pseudo ~seed domain seq k mod 2) in
                 ignore (Qobj.invoke q txn (Adt.Fifo_queue.Enq v));
-                Driver.think config
+                Driver.think scale.think_us
               done
             in
             let stats () =
@@ -263,49 +233,40 @@ let exp_queue_enq ?(scale = default_scale) ?(seed = 0) ?wal () =
 
 let mixed_weights _ = 1.
 
-let exp_queue_mixed ?(scale = default_scale) ?(seed = 0) ?wal () =
+(* One row of the producer/consumer workload on a FIFO queue. *)
+let queue_pc_row ?wal ~scale ~seed ~ops label conflict =
+  measure ?wal ~label
+    ~conflict_prob:(Qprof.op_conflict_probability ~weights:mixed_weights conflict)
+    ~scale
+    ~setup:(fun mgr ->
+      let q =
+        Qobj.create
+          ?wal:(durable mgr Adt.Fifo_queue.codec)
+          ~conflict ~op_label:Adt.Fifo_queue.op_label ()
+      in
+      let body =
+        Driver.producer_consumer scale ~seed ~ops
+          ~produce:(fun txn v -> ignore (Qobj.invoke q txn (Adt.Fifo_queue.Enq v)))
+          ~consume:(fun txn -> ignore (Qobj.invoke q txn Adt.Fifo_queue.Deq))
+          mgr
+      in
+      let stats () =
+        let s = Qobj.stats q in
+        (s.Qobj.conflicts, s.Qobj.blocked)
+      in
+      (body, stats, fun () -> Qobj.replay_check q))
+    ()
+
+let exp_queue_mixed ?(scale = Driver.default_scale) ?(seed = 0) ?wal () =
   let ops = 3 in
-  let rows =
-    List.map
-      (fun (label, conflict) ->
-        measure ?wal ~label
-          ~conflict_prob:(Qprof.op_conflict_probability ~weights:mixed_weights conflict)
-          ~scale
-          ~setup:(fun mgr ->
-            let q =
-              Qobj.create
-                ?wal:(durable mgr Adt.Fifo_queue.codec)
-                ~conflict ~op_label:Adt.Fifo_queue.op_label ()
-            in
-            (* Seed enough for every consumer dequeue to succeed. *)
-            let consumer_domains = scale.domains / 2 in
-            let total_deqs = consumer_domains * scale.txns * ops in
-            seed_with mgr ~n:total_deqs ~per_txn:50 (fun txn k ->
-                ignore (Qobj.invoke q txn (Adt.Fifo_queue.Enq (1 + (k mod 2)))));
-            let body config ~domain ~seq txn =
-              let producing = domain >= consumer_domains in
-              for k = 0 to ops - 1 do
-                if producing then
-                  ignore
-                    (Qobj.invoke q txn
-                       (Adt.Fifo_queue.Enq (1 + (pseudo ~seed domain seq k mod 2))))
-                else ignore (Qobj.invoke q txn Adt.Fifo_queue.Deq);
-                Driver.think config
-              done
-            in
-            let stats () =
-              let s = Qobj.stats q in
-              (s.Qobj.conflicts, s.Qobj.blocked)
-            in
-            (body, stats, fun () -> Qobj.replay_check q))
-          ())
-      queue_relations
-  in
   {
     id = "EXP-QUEUE-MIXED";
     title = "producers vs consumers on one FIFO queue (incomparable minimal relations)";
     params = params_of ~seed scale ops;
-    rows;
+    rows =
+      List.map
+        (fun (label, conflict) -> queue_pc_row ?wal ~scale ~seed ~ops label conflict)
+        queue_relations;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -327,7 +288,7 @@ let account_weights (i, r) =
   | Adt.Account.Debit _, Adt.Account.Ok -> 4.
   | Adt.Account.Debit _, Adt.Account.Overdraft -> 0.1
 
-let exp_account ?(scale = default_scale) ?(seed = 0) ?wal () =
+let exp_account ?(scale = Driver.default_scale) ?(seed = 0) ?wal () =
   let ops = 3 in
   let rows =
     List.map
@@ -349,24 +310,24 @@ let exp_account ?(scale = default_scale) ?(seed = 0) ?wal () =
                post-heavy mix would overflow native ints and wrap the
                balance negative — breaking the monotonicity that
                Figure 4-5's conflicts rely on (see DESIGN.md). *)
-            let body config ~domain ~seq txn =
+            let body ~domain ~seq txn =
               if seq mod 25 = 2 * domain then begin
                 ignore (Aobj.invoke acc txn (Adt.Account.Post 1));
-                Driver.think config
+                Driver.think scale.think_us
               end
               else if (domain + seq) mod 2 = 0 then
                 for k = 0 to ops - 1 do
                   ignore
                     (Aobj.invoke acc txn
-                       (Adt.Account.Credit (1 + (pseudo ~seed domain seq k mod 9))));
-                  Driver.think config
+                       (Adt.Account.Credit (1 + (Driver.pseudo ~seed domain seq k mod 9))));
+                  Driver.think scale.think_us
                 done
               else
                 for k = 0 to ops - 1 do
                   ignore
                     (Aobj.invoke acc txn
-                       (Adt.Account.Debit (1 + (pseudo ~seed domain seq k mod 9))));
-                  Driver.think config
+                       (Adt.Account.Debit (1 + (Driver.pseudo ~seed domain seq k mod 9))));
+                  Driver.think scale.think_us
                 done
             in
             let stats () =
@@ -390,7 +351,7 @@ let exp_account ?(scale = default_scale) ?(seed = 0) ?wal () =
 let rem_weights (i, _) =
   match i with Adt.Semiqueue.Ins _ -> 1. | Adt.Semiqueue.Rem -> 1.
 
-let exp_semiqueue ?(scale = default_scale) ?(seed = 0) ?wal () =
+let exp_semiqueue ?(scale = Driver.default_scale) ?(seed = 0) ?wal () =
   let ops = 3 in
   let semiqueue_row label conflict =
     measure ?wal ~label
@@ -402,20 +363,11 @@ let exp_semiqueue ?(scale = default_scale) ?(seed = 0) ?wal () =
             ?wal:(durable mgr Adt.Semiqueue.codec)
             ~conflict ~op_label:Adt.Semiqueue.op_label ()
         in
-        let consumer_domains = scale.domains / 2 in
-        let total_rems = consumer_domains * scale.txns * ops in
-        seed_with mgr ~n:total_rems ~per_txn:50 (fun txn k ->
-            ignore (Sobj.invoke sq txn (Adt.Semiqueue.Ins (1 + (k mod 2)))));
-        let body config ~domain ~seq txn =
-          let producing = domain >= consumer_domains in
-          for k = 0 to ops - 1 do
-            if producing then
-              ignore
-                (Sobj.invoke sq txn
-                   (Adt.Semiqueue.Ins (1 + (pseudo ~seed domain seq k mod 2))))
-            else ignore (Sobj.invoke sq txn Adt.Semiqueue.Rem);
-            Driver.think config
-          done
+        let body =
+          Driver.producer_consumer scale ~seed ~ops
+            ~produce:(fun txn v -> ignore (Sobj.invoke sq txn (Adt.Semiqueue.Ins v)))
+            ~consume:(fun txn -> ignore (Sobj.invoke sq txn Adt.Semiqueue.Rem))
+            mgr
         in
         let stats () =
           let s = Sobj.stats sq in
@@ -424,38 +376,7 @@ let exp_semiqueue ?(scale = default_scale) ?(seed = 0) ?wal () =
         (body, stats, fun () -> Sobj.replay_check sq))
       ()
   in
-  let queue_row label conflict =
-    measure ?wal ~label
-      ~conflict_prob:(Qprof.op_conflict_probability ~weights:mixed_weights conflict)
-      ~scale
-      ~setup:(fun mgr ->
-        let q =
-          Qobj.create
-            ?wal:(durable mgr Adt.Fifo_queue.codec)
-            ~conflict ~op_label:Adt.Fifo_queue.op_label ()
-        in
-        let consumer_domains = scale.domains / 2 in
-        let total_deqs = consumer_domains * scale.txns * ops in
-        seed_with mgr ~n:total_deqs ~per_txn:50 (fun txn k ->
-            ignore (Qobj.invoke q txn (Adt.Fifo_queue.Enq (1 + (k mod 2)))));
-        let body config ~domain ~seq txn =
-          let producing = domain >= consumer_domains in
-          for k = 0 to ops - 1 do
-            if producing then
-              ignore
-                (Qobj.invoke q txn
-                   (Adt.Fifo_queue.Enq (1 + (pseudo ~seed domain seq k mod 2))))
-            else ignore (Qobj.invoke q txn Adt.Fifo_queue.Deq);
-            Driver.think config
-          done
-        in
-        let stats () =
-          let s = Qobj.stats q in
-          (s.Qobj.conflicts, s.Qobj.blocked)
-        in
-        (body, stats, fun () -> Qobj.replay_check q))
-      ()
-  in
+  let queue_row = queue_pc_row ?wal ~scale ~seed ~ops in
   let rows =
     [
       semiqueue_row "SemiQueue hybrid (fig 4-4)" Adt.Semiqueue.conflict_hybrid;
@@ -477,12 +398,12 @@ let exp_semiqueue ?(scale = default_scale) ?(seed = 0) ?wal () =
    offset in the mix hash decorrelates it from the key draw. *)
 let directory_mix ~seed ~keys ~domain ~seq k =
   let key = Conflict_profile.Keys.draw keys ~seed ~domain ~seq ~k in
-  match pseudo ~seed domain seq (k + 11) mod 10 with
+  match Driver.pseudo ~seed domain seq (k + 11) mod 10 with
   | 0 | 1 | 2 | 3 -> Adt.Directory.Insert key
   | 4 | 5 | 6 -> Adt.Directory.Remove key
   | _ -> Adt.Directory.Member key
 
-let exp_directory ?(scale = default_scale) ?(seed = 0) ?(key_skew = 0.) ?(keys = 64)
+let exp_directory ?(scale = Driver.default_scale) ?(seed = 0) ?(key_skew = 0.) ?(keys = 64)
     ?(cells = 8) ?wal () =
   let ops = 4 in
   let kt = Conflict_profile.Keys.make ~skew:key_skew ~n:keys in
@@ -493,10 +414,10 @@ let exp_directory ?(scale = default_scale) ?(seed = 0) ?(key_skew = 0.) ?(keys =
     Dprof.op_conflict_probability ~weights:Dprof.uniform Adt.Directory.conflict_whole_object
   in
   let keyed_prob = Conflict_profile.Keys.collision kt *. blind_prob in
-  let body invoke config ~domain ~seq txn =
+  let body invoke ~domain ~seq txn =
     for k = 0 to ops - 1 do
       invoke txn (directory_mix ~seed ~keys:kt ~domain ~seq k);
-      Driver.think config
+      Driver.think scale.think_us
     done
   in
   let whole_row label conflict prob =
@@ -564,11 +485,11 @@ let partition_gate ?(factor = 5) t =
       Error "partition gate: fired-conflict mass unavailable (enable observability)")
   | _ -> Error "partition gate: table lacks cell-blind / cell-locked rows"
 
-let all ?(scale = default_scale) ?(seed = 0) ?wal () =
+let by_id ?scale ?seed ?key_skew ?cells ?wal () =
   [
-    exp_queue_enq ~scale ~seed ?wal ();
-    exp_queue_mixed ~scale ~seed ?wal ();
-    exp_account ~scale ~seed ?wal ();
-    exp_semiqueue ~scale ~seed ?wal ();
-    exp_directory ~scale ~seed ?wal ();
+    ("queue", fun () -> exp_queue_enq ?scale ?seed ?wal ());
+    ("queue-mixed", fun () -> exp_queue_mixed ?scale ?seed ?wal ());
+    ("account", fun () -> exp_account ?scale ?seed ?wal ());
+    ("semiqueue", fun () -> exp_semiqueue ?scale ?seed ?wal ());
+    ("directory", fun () -> exp_directory ?scale ?seed ?key_skew ?cells ?wal ());
   ]

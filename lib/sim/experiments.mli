@@ -70,17 +70,14 @@ val waitfor_failures : table list -> (string * string * string) list
     had a cycle — same exit-status contract as {!violations}: wait-die
     makes cycles impossible, so any cycle is a protocol bug. *)
 
+val waitfor_verdict : Obs.Waitfor.report -> (unit, string) result
+(** [Error] naming every cycle of the waits-for graph — the verdict of
+    {!waitfor_failures} and of the serve loops' [waitfor/*] audits. *)
+
 val windows : table list -> Obs.Trace.entry list
 (** Every row's trace window, concatenated in run order (timestamps are
     monotonic across rows, object keys and transaction ids are
     process-unique, so the result is directly exportable). *)
-
-type scale = { domains : int; txns : int; think_us : float }
-(** [txns] is per domain. *)
-
-val default_scale : scale
-val quick_scale : scale
-(** Small sizes for tests. *)
 
 (** Every experiment takes [?seed] (default [0], which reproduces the
     historical workload values) to shift the deterministic operation-value
@@ -90,23 +87,23 @@ val quick_scale : scale
     share the log — object names are unique, so recovery keeps them
     apart. *)
 
-val exp_queue_enq : ?scale:scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
+val exp_queue_enq : ?scale:Driver.scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
 (** EXP-QUEUE(a): enqueue-only transactions (4 enqueues each). *)
 
-val exp_queue_mixed : ?scale:scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
+val exp_queue_mixed : ?scale:Driver.scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
 (** EXP-QUEUE(b): half the domains enqueue, half dequeue, over a seeded
     queue. *)
 
-val exp_account : ?scale:scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
+val exp_account : ?scale:Driver.scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
 (** EXP-ACCOUNT: credit / post / debit transaction mix on one account,
     seeded with a large balance. *)
 
-val exp_semiqueue : ?scale:scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
+val exp_semiqueue : ?scale:Driver.scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
 (** EXP-SEMIQ: the producer/consumer workload on a SemiQueue vs. a FIFO
     queue. *)
 
 val exp_directory :
-  ?scale:scale ->
+  ?scale:Driver.scale ->
   ?seed:int ->
   ?key_skew:float ->
   ?keys:int ->
@@ -130,4 +127,13 @@ val partition_gate : ?factor:int -> table -> (int * int, string) result
     (blind, celled)] carries both masses; [Error] explains which side
     fell short (including observability being off). *)
 
-val all : ?scale:scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table list
+val by_id :
+  ?scale:Driver.scale ->
+  ?seed:int ->
+  ?key_skew:float ->
+  ?cells:int ->
+  ?wal:Wal.Log.t ->
+  unit ->
+  (string * (unit -> table)) list
+(** Every experiment above by its command-line id, in run order:
+    [queue], [queue-mixed], [account], [semiqueue], [directory]. *)

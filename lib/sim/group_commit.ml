@@ -54,21 +54,13 @@ let run ?(fsync = true) ?sync_sleep_us ?(txns = 200) ~label ~dir ~domains ~group
   | None -> ());
   let mgr = Runtime.Manager.create ~wal:w () in
   let o = O.create ~wal:(w, Adt.Counter.codec) ~conflict:Adt.Counter.conflict_hybrid () in
-  let t0 = Unix.gettimeofday () in
-  let worker _d =
-    Domain.spawn (fun () ->
-        let lat = Array.make txns 0. in
-        for seq = 0 to txns - 1 do
-          let a0 = Obs.Clock.now_ns () in
-          Runtime.Manager.run mgr (fun txn -> ignore (O.invoke o txn (Adt.Counter.Inc 1)));
-          lat.(seq) <- Obs.Clock.ns_to_s (Obs.Clock.now_ns () - a0) *. 1e6
-        done;
-        lat)
+  let latencies, wall =
+    Driver.loop { domains; txns; think_us = 0. } (fun ~domain:_ ~seq:_ ->
+        let a0 = Obs.Clock.now_ns () in
+        Runtime.Manager.run mgr (fun txn -> ignore (O.invoke o txn (Adt.Counter.Inc 1)));
+        Obs.Clock.ns_to_s (Obs.Clock.now_ns () - a0) *. 1e6)
   in
-  let latencies =
-    List.init domains worker |> List.map Domain.join |> Array.concat
-  in
-  let wall = Unix.gettimeofday () -. t0 in
+  let latencies = Array.concat (Array.to_list latencies) in
   let fsyncs = Wal.Log.fsyncs w in
   Wal.Log.close w;
   let stats = Runtime.Manager.stats mgr in

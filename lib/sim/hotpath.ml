@@ -53,16 +53,11 @@ let run ?(txns = 5000) ?(shape = `Private) ?(force_slow = false) ~label ~domains
   in
   Runtime.Lockstat.set_force_slow force_slow;
   let before = Runtime.Lockstat.snapshot () in
-  let t0 = Unix.gettimeofday () in
-  let worker d =
-    Domain.spawn (fun () ->
-        let o = objs.(d) in
-        for _ = 1 to txns do
-          Runtime.Manager.run mgr (fun txn -> ignore (O.invoke o txn (Adt.Counter.Inc 1)))
-        done)
+  let _, wall =
+    Driver.loop { domains; txns; think_us = 0. } (fun ~domain ~seq:_ ->
+        Runtime.Manager.run mgr (fun txn ->
+            ignore (O.invoke objs.(domain) txn (Adt.Counter.Inc 1))))
   in
-  List.init domains worker |> List.iter Domain.join;
-  let wall = Unix.gettimeofday () -. t0 in
   let after = Runtime.Lockstat.snapshot () in
   Runtime.Lockstat.set_force_slow false;
   let committed = (Runtime.Manager.stats mgr).Runtime.Manager.committed in

@@ -29,8 +29,7 @@ type t = {
      swap.  One full rotation later it is quiescent and auditable. *)
   mutable draining : epoch option;
   epoch_count : int Atomic.t;
-  stop_flag : bool Atomic.t;
-  mutable workers : unit Domain.t list;
+  workers : Driver.workers;
 }
 
 let seed_values = 16
@@ -71,21 +70,15 @@ let new_epoch mgr config =
     last_deq_txn = Atomic.make (-1);
   }
 
-(* Deterministic per-(domain, iteration) choice stream, decorrelated the
-   same way as [Experiments.pseudo]. *)
-let mix seed d n = ((seed * 15485863) + (d * 7919) + (n * 104729)) land 0x3fffffff
-
-let think config = if config.think_us > 0. then Unix.sleepf (config.think_us *. 1e-6)
-
-let run_one t e ~domain ~n =
-  let h = mix t.config.seed domain n in
+let run_one mgr e ~seed ~domain ~seq =
+  let h = Driver.pseudo ~seed domain seq 0 in
   match h mod 3 with
   | 0 ->
     (* Queue: always enqueue a fresh unique value, dequeue every other
        time — net producer, so [Deq] stays enabled. *)
     let did_deq = ref false in
     let tid = ref (-1) in
-    Runtime.Manager.run t.mgr (fun txn ->
+    Runtime.Manager.run mgr (fun txn ->
         tid := Runtime.Txn_rt.id txn;
         did_deq := false;
         let v = Atomic.fetch_and_add e.next_val 1 in
@@ -96,58 +89,38 @@ let run_one t e ~domain ~n =
         end);
     if !did_deq then Atomic.set e.last_deq_txn !tid
   | 1 ->
-    Runtime.Manager.run t.mgr (fun txn ->
+    Runtime.Manager.run mgr (fun txn ->
         let amount = 1 + (h mod 9) in
         if h land 1 = 0 then
           ignore (Aobj.invoke e.account txn (Adt.Account.Credit amount))
         else ignore (Aobj.invoke e.account txn (Adt.Account.Debit amount)))
   | _ ->
-    Runtime.Manager.run t.mgr (fun txn ->
+    Runtime.Manager.run mgr (fun txn ->
         let v = Atomic.fetch_and_add e.next_val 1 in
         ignore (Sobj.invoke e.semiq txn (Adt.Semiqueue.Ins v));
         if h land 1 = 0 then ignore (Sobj.invoke e.semiq txn Adt.Semiqueue.Rem))
-
-let worker t domain () =
-  let n = ref 0 in
-  while not (Atomic.get t.stop_flag) do
-    let e = Atomic.get t.current in
-    run_one t e ~domain ~n:!n;
-    incr n;
-    think t.config
-  done
 
 let register_cycle_audit t =
   (* Wait-for cycles are checked on the *current* ring: unlike replay,
      the cycle check tolerates a partial window (an edge it cannot see
      cannot create a false cycle). *)
   Obs.Sampler.register_audit ~name:"waitfor/live" (fun () ->
-      let e = Atomic.get t.current in
-      let r = Obs.Waitfor.analyze (Obs.Trace.entries e.ring) in
-      if Obs.Waitfor.ok r then Ok ()
-      else
-        Error
-          (String.concat "; "
-             (List.map
-                (fun loop ->
-                  "cycle " ^ String.concat " -> " (List.map string_of_int loop))
-                r.Obs.Waitfor.cycles)))
+      Experiments.waitfor_verdict
+        (Obs.Waitfor.analyze (Obs.Trace.entries (Atomic.get t.current).ring)))
 
 let start ?wal config =
   let mgr = Runtime.Manager.create ?wal () in
   Runtime.Manager.register_introspection ~name:"live/manager" mgr;
+  let current = Atomic.make (new_epoch mgr config) in
+  let workers =
+    Driver.start ~domains:config.domains (fun ~domain ~seq ->
+        run_one mgr (Atomic.get current) ~seed:config.seed ~domain ~seq;
+        Driver.think config.think_us)
+  in
   let t =
-    {
-      config;
-      mgr;
-      current = Atomic.make (new_epoch mgr config);
-      draining = None;
-      epoch_count = Atomic.make 1;
-      stop_flag = Atomic.make false;
-      workers = [];
-    }
+    { config; mgr; current; draining = None; epoch_count = Atomic.make 1; workers }
   in
   register_cycle_audit t;
-  t.workers <- List.init config.domains (fun d -> Domain.spawn (worker t d));
   t
 
 let register_replay_audits e =
@@ -195,8 +168,4 @@ let current_ring t = (Atomic.get t.current).ring
 let manager t = t.mgr
 let epochs t = Atomic.get t.epoch_count
 
-let stop t =
-  if not (Atomic.exchange t.stop_flag true) then begin
-    List.iter Domain.join t.workers;
-    t.workers <- []
-  end
+let stop t = Driver.stop t.workers

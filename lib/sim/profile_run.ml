@@ -15,7 +15,7 @@ type result = {
   p_lost : int;
 }
 
-let run ?(scale = Experiments.default_scale) ?(seed = 0) ?wal_dir ?(fsync = false)
+let run ?(scale = Driver.default_scale) ?(seed = 0) ?wal_dir ?(fsync = false)
     ?(group_commit = true) ?(detail = true) ?(shards = 3) ?(cross_pct = 20.) ~path () =
   let s = Shard_exp.make_setup ?wal_dir ~fsync ~group_commit ~shards () in
   let agg = Obs.Profile.create () in
@@ -23,24 +23,7 @@ let run ?(scale = Experiments.default_scale) ?(seed = 0) ?wal_dir ?(fsync = fals
   (* Level 2 gives the per-ADT-op rows; the always-on deployment tier
      is level 1, which the flight-overhead bench gates. *)
   Obs.Flight.set_level (if detail then 2 else 1);
-  let domains = max scale.Experiments.domains shards in
-  let config =
-    {
-      Driver.domains;
-      txns_per_domain = scale.Experiments.txns;
-      think_us = scale.Experiments.think_us;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let workers =
-    Array.init domains (fun domain ->
-        Domain.spawn (fun () ->
-            for seq = 0 to scale.Experiments.txns - 1 do
-              Shard_exp.txn_body s ~config ~seed ~cross_pct ~shards ~domain ~seq
-            done))
-  in
-  Array.iter Domain.join workers;
-  let wall = Unix.gettimeofday () -. t0 in
+  let committed, wall = Shard_exp.drive s scale ~seed ~cross_pct in
   (* Final drain happens inside [stop]; after it the aggregator has
      seen every surviving record and the file carries the label
      metadata chunk for offline decoding. *)
@@ -51,7 +34,7 @@ let run ?(scale = Experiments.default_scale) ?(seed = 0) ?wal_dir ?(fsync = fals
   {
     p_agg = agg;
     p_wall = wall;
-    p_committed = domains * scale.Experiments.txns;
+    p_committed = committed;
     p_cross_commits = cstats.Dist.Coordinator.c_cross_commits;
     p_emitted = Obs.Flight.emitted ();
     p_lost = Obs.Flight.lost ();

@@ -17,7 +17,7 @@ type result = {
 }
 
 val run :
-  ?scale:Experiments.scale ->
+  ?scale:Driver.scale ->
   ?seed:int ->
   ?wal_dir:string ->
   ?fsync:bool ->

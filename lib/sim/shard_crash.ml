@@ -138,19 +138,15 @@ let pp ppf m =
     (if ok m then "every kill point recovers to the decision log's verdict: OK"
      else "FAILED")
 
-let ensure_dir dir =
-  try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
 module R = Wal.Recover.Make (Adt.Account)
 
 (* Background traffic so the victim's records sit in the middle of real
    logs: a few local transactions per shard, and (with [cross_pct] > 0)
    some committed cross-shard transfers through the same coordinator. *)
 let background s ~shards ~cross_pct =
-  let config = { Driver.domains = shards; txns_per_domain = 4; think_us = 0. } in
   for domain = 0 to shards - 1 do
     for seq = 0 to 3 do
-      Shard_exp.txn_body s ~config ~seed:7 ~cross_pct ~shards ~domain ~seq
+      Shard_exp.txn_body s ~think_us:0. ~seed:7 ~cross_pct ~domain ~seq
     done
   done
 
@@ -159,7 +155,7 @@ let run_cell ~dir ~group_commit ~shards ~cross_pct site =
     Filename.concat dir
       (Printf.sprintf "%s-%s" (if group_commit then "gc" else "solo") (site_label site))
   in
-  ensure_dir sub;
+  Driver.ensure_dir sub;
   let s =
     Shard_exp.make_setup ~wal_dir:sub ~fsync:true ~group_commit
       ~compact_threshold:max_int ~shards ()
@@ -218,7 +214,7 @@ let run_cell ~dir ~group_commit ~shards ~cross_pct site =
     | None -> (wal_paths, dpath)
     | Some images ->
       let crash = Filename.concat sub "crash" in
-      ensure_dir crash;
+      Driver.ensure_dir crash;
       let place path =
         let copy = Filename.concat crash (Filename.basename path) in
         (match List.assoc path images with
@@ -308,7 +304,7 @@ let run_cell ~dir ~group_commit ~shards ~cross_pct site =
   }
 
 let run ?(shards = 2) ?(cross_pct = 0.) ~dir () =
-  ensure_dir dir;
+  Driver.ensure_dir dir;
   let shards = max 2 shards in
   let cells =
     List.concat_map

@@ -59,8 +59,6 @@ type cell = {
   k_failures : string list;
 }
 
-val cell_ok : cell -> bool
-
 type matrix = { cells : cell list }
 
 val ok : matrix -> bool

@@ -11,9 +11,6 @@
 module Aobj = Runtime.Atomic_obj.Make (Adt.Account)
 module Aprof = Conflict_profile.Make (Adt.Account)
 
-let pseudo ~seed d seq k =
-  ((seed * 15485863) + (d * 7919) + (seq * 104729) + (k * 1299709)) land 0x3fffffff
-
 let account_weights (i, r) =
   match (i, r) with
   | Adt.Account.Credit _, _ -> 4.
@@ -71,34 +68,44 @@ let outcome_fn s = Dist.Coordinator.outcome s.coord
    account, or — with probability [cross_pct] when there is more than
    one shard — a transfer from the home account to a partner shard's
    account through the coordinator. *)
-let txn_body s ~config ~seed ~cross_pct ~shards ~domain ~seq =
+let txn_body s ~think_us ~seed ~cross_pct ~domain ~seq =
+  let shards = Array.length s.accounts in
   let home = domain mod shards in
-  let h = pseudo ~seed domain seq 0 in
+  let h = Driver.pseudo ~seed domain seq 0 in
   let cross = shards > 1 && float_of_int (h mod 1000) < cross_pct *. 10. in
   if cross then begin
-    let partner = (home + 1 + (pseudo ~seed domain seq 1 mod (shards - 1))) mod shards in
-    let amount = 1 + (pseudo ~seed domain seq 2 mod 9) in
+    let partner =
+      (home + 1 + (Driver.pseudo ~seed domain seq 1 mod (shards - 1))) mod shards
+    in
+    let amount = 1 + (Driver.pseudo ~seed domain seq 2 mod 9) in
     Dist.Coordinator.run s.coord (fun ctx ->
         let bh = Dist.Coordinator.branch ctx (Dist.Router.shard s.router home) in
         let bp = Dist.Coordinator.branch ctx (Dist.Router.shard s.router partner) in
         ignore (Aobj.invoke s.accounts.(home) bh (Adt.Account.Debit amount));
-        Driver.think config;
+        Driver.think think_us;
         ignore (Aobj.invoke s.accounts.(partner) bp (Adt.Account.Credit amount));
-        Driver.think config)
+        Driver.think think_us)
   end
   else
     Runtime.Manager.run
       (Dist.Shard.mgr (Dist.Router.shard s.router home))
       (fun txn ->
         for k = 0 to 2 do
-          let amount = 1 + (pseudo ~seed domain seq (3 + k) mod 9) in
+          let amount = 1 + (Driver.pseudo ~seed domain seq (3 + k) mod 9) in
           let op =
             if (domain + seq + k) mod 2 = 0 then Adt.Account.Credit amount
             else Adt.Account.Debit amount
           in
           ignore (Aobj.invoke s.accounts.(home) txn op);
-          Driver.think config
+          Driver.think think_us
         done)
+
+let drive s (scale : Driver.scale) ~seed ~cross_pct =
+  let scale = { scale with domains = max scale.domains (Array.length s.accounts) } in
+  let _, wall =
+    Driver.loop scale (txn_body s ~think_us:scale.think_us ~seed ~cross_pct)
+  in
+  (scale.domains * scale.txns, wall)
 
 type outcome = {
   row : Experiments.row;
@@ -110,28 +117,10 @@ type outcome = {
   o_ack_failures : int;
 }
 
-let run_one ?(scale = Experiments.default_scale) ?(seed = 0) ?wal_dir ?prefix ?fsync
+let run_one ?(scale = Driver.default_scale) ?(seed = 0) ?wal_dir ?prefix ?fsync
     ?group_commit ?ring_capacity ~shards ~cross_pct () =
   let s = make_setup ?wal_dir ?prefix ?fsync ?group_commit ?ring_capacity ~shards () in
-  let domains = max scale.Experiments.domains shards in
-  let config =
-    {
-      Driver.domains;
-      txns_per_domain = scale.Experiments.txns;
-      think_us = scale.Experiments.think_us;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let workers =
-    Array.init domains (fun domain ->
-        Domain.spawn (fun () ->
-            for seq = 0 to scale.Experiments.txns - 1 do
-              txn_body s ~config ~seed ~cross_pct ~shards ~domain ~seq
-            done))
-  in
-  Array.iter Domain.join workers;
-  let wall = Unix.gettimeofday () -. t0 in
-  let committed = domains * scale.Experiments.txns in
+  let committed, wall = drive s scale ~seed ~cross_pct in
   let mgr_stats i = Runtime.Manager.stats (Dist.Shard.mgr (Dist.Router.shard s.router i)) in
   let cstats = Dist.Coordinator.stats s.coord in
   let attempts = ref cstats.Dist.Coordinator.c_attempts in
@@ -207,7 +196,7 @@ let shard_counts upto =
   let rec go n acc = if n >= upto then List.rev (upto :: acc) else go (n * 2) (n :: acc) in
   if upto <= 1 then [ 1 ] else go 1 []
 
-let exp_shard ?(scale = Experiments.default_scale) ?(seed = 0) ?(shards = 4)
+let exp_shard ?(scale = Driver.default_scale) ?(seed = 0) ?(shards = 4)
     ?(cross_pct = 10.) ?wal_dir ?fsync ?group_commit () =
   let variants =
     List.concat_map
@@ -229,7 +218,7 @@ let exp_shard ?(scale = Experiments.default_scale) ?(seed = 0) ?(shards = 4)
     title = "sharded managers vs one manager; cross-shard 2PC mix";
     params =
       Printf.sprintf "%d+ domains x %d txns, think %.0fus, seed %d, up to %d shards, %.0f%% cross"
-        scale.Experiments.domains scale.Experiments.txns scale.Experiments.think_us seed
+        scale.Driver.domains scale.Driver.txns scale.Driver.think_us seed
         shards cross_pct;
     rows;
   }

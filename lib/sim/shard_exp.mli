@@ -32,17 +32,15 @@ val rings : setup -> Obs.Trace.t array
 val outcome_fn : setup -> int -> Dist.Decision_log.outcome option
 
 val txn_body :
-  setup ->
-  config:Driver.config ->
-  seed:int ->
-  cross_pct:float ->
-  shards:int ->
-  domain:int ->
-  seq:int ->
-  unit
-(** One workload transaction (local run or cross-shard transfer) —
-    exposed so tests can drive the exact experiment mix at small
-    scale. *)
+  setup -> think_us:float -> seed:int -> cross_pct:float -> domain:int -> seq:int -> unit
+(** One workload transaction on domain [domain]'s home shard ([domain]
+    mod the shard count): a local credit/debit run, or with probability
+    [cross_pct]% a cross-shard transfer. *)
+
+val drive : setup -> Driver.scale -> seed:int -> cross_pct:float -> int * float
+(** {!Driver.loop} over {!txn_body} on [max scale.domains shards]
+    domains, so every shard has a worker.  Returns the transactions
+    run (every one commits) and the wall-clock seconds. *)
 
 type outcome = {
   row : Experiments.row;
@@ -55,7 +53,7 @@ type outcome = {
 }
 
 val run_one :
-  ?scale:Experiments.scale ->
+  ?scale:Driver.scale ->
   ?seed:int ->
   ?wal_dir:string ->
   ?prefix:string ->
@@ -76,7 +74,7 @@ val shard_counts : int -> int list
 (** [1; 2; 4; ...; upto]. *)
 
 val exp_shard :
-  ?scale:Experiments.scale ->
+  ?scale:Driver.scale ->
   ?seed:int ->
   ?shards:int ->
   ?cross_pct:float ->

@@ -29,8 +29,7 @@ type t = {
   config : config;
   setup : Shard_exp.setup;
   injected : int Atomic.t; (* forged commits emitted *)
-  stop_flag : bool Atomic.t;
-  mutable workers : unit Domain.t list;
+  workers : Driver.workers;
 }
 
 let windows t = Array.map Obs.Trace.entries (Shard_exp.rings t.setup)
@@ -40,25 +39,7 @@ let register_audits t =
   Obs.Sampler.register_audit ~name:"dist/atomicity" (fun () ->
       Dist.Audit.check ~outcome:(Shard_exp.outcome_fn t.setup) (windows t));
   Obs.Sampler.register_audit ~name:"waitfor/dist" (fun () ->
-      let r = Obs.Waitfor.analyze (stitched t) in
-      if Obs.Waitfor.ok r then Ok ()
-      else
-        Error
-          (String.concat "; "
-             (List.map
-                (fun loop -> "cycle " ^ String.concat " -> " (List.map string_of_int loop))
-                r.Obs.Waitfor.cycles)))
-
-let worker t domain () =
-  let dcfg =
-    { Driver.domains = t.config.domains; txns_per_domain = 0; think_us = t.config.think_us }
-  in
-  let n = ref 0 in
-  while not (Atomic.get t.stop_flag) do
-    Shard_exp.txn_body t.setup ~config:dcfg ~seed:t.config.seed ~cross_pct:t.config.cross_pct
-      ~shards:t.config.shards ~domain ~seq:!n;
-    incr n
-  done
+      Experiments.waitfor_verdict (Obs.Waitfor.analyze (stitched t)))
 
 let start ?wal_dir ?(fsync = true) ?(group_commit = true) config =
   let config = { config with shards = max 1 config.shards; domains = max 1 config.domains } in
@@ -67,17 +48,13 @@ let start ?wal_dir ?(fsync = true) ?(group_commit = true) config =
       ~ring_capacity:config.ring_capacity ~shards:config.shards ()
   in
   Dist.Router.register_introspection setup.Shard_exp.router;
-  let t =
-    {
-      config;
-      setup;
-      injected = Atomic.make 0;
-      stop_flag = Atomic.make false;
-      workers = [];
-    }
+  let workers =
+    Driver.start ~domains:config.domains
+      (Shard_exp.txn_body setup ~think_us:config.think_us ~seed:config.seed
+         ~cross_pct:config.cross_pct)
   in
+  let t = { config; setup; injected = Atomic.make 0; workers } in
   register_audits t;
-  t.workers <- List.init config.domains (fun d -> Domain.spawn (worker t d));
   t
 
 (* The negative control: run a cross-shard transfer that requests its
@@ -140,11 +117,7 @@ let stats t =
 let setup t = t.setup
 let shards t = t.config.shards
 
-let stop t =
-  if not (Atomic.exchange t.stop_flag true) then begin
-    List.iter Domain.join t.workers;
-    t.workers <- []
-  end
+let stop t = Driver.stop t.workers
 
 let close t =
   stop t;

@@ -372,15 +372,10 @@ let test_cross_shard_commit_agrees () =
    objects, and per-shard attribution matrices do not interleave. *)
 let test_two_shards_no_interleaving () =
   let s = Sim.Shard_exp.make_setup ~shards:2 () in
-  let config = { Sim.Driver.domains = 2; txns_per_domain = 8; think_us = 0. } in
-  let workers =
-    Array.init 2 (fun domain ->
-        Domain.spawn (fun () ->
-            for seq = 0 to 7 do
-              Sim.Shard_exp.txn_body s ~config ~seed:1 ~cross_pct:0. ~shards:2 ~domain ~seq
-            done))
-  in
-  Array.iter Domain.join workers;
+  ignore
+    (Sim.Shard_exp.drive s
+       { Sim.Driver.domains = 2; txns = 8; think_us = 0. }
+       ~seed:1 ~cross_pct:0.);
   let keys = Array.map Sim.Shard_exp.Aobj.key s.Sim.Shard_exp.accounts in
   Array.iteri
     (fun i ring ->
@@ -472,13 +467,42 @@ let test_audit_clean () =
   Alcotest.(check int) "txns" 2 r.Dist.Audit.a_txns;
   Alcotest.(check int) "cross" 1 r.Dist.Audit.a_cross
 
+(* ---------------- the live sharded workload ---------------- *)
+
+(* The run-until-stopped workload behind sharded serve: it commits, its
+   windows pass the cross-shard audit, a forged commit of a decided-abort
+   transaction fails the same audit, and close returns. *)
+let test_shard_live_audit () =
+  let t =
+    Sim.Shard_live.start
+      {
+        Sim.Shard_live.default_config with
+        shards = 2;
+        domains = 2;
+        think_us = 0.;
+        cross_pct = 20.;
+      }
+  in
+  Unix.sleepf 0.2;
+  Sim.Shard_live.stop t;
+  let audit () =
+    Dist.Audit.check
+      ~outcome:(Sim.Shard_exp.outcome_fn (Sim.Shard_live.setup t))
+      (Sim.Shard_live.windows t)
+  in
+  Alcotest.(check bool) "committed" true ((Sim.Shard_live.stats t).s_committed > 0);
+  (match audit () with Ok () -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "violation injected" true (Sim.Shard_live.inject_violation t);
+  Alcotest.(check bool) "forgery caught" true (Result.is_error (audit ()));
+  Sim.Shard_live.close t
+
 (* ---------------- property: cross-shard runs stay atomic ---------------- *)
 
 let prop_cross_shard_atomic =
   QCheck2.Test.make ~name:"sharded run passes the cross-shard audit (any seed)" ~count:12
     QCheck2.Gen.(0 -- 1000)
     (fun seed ->
-      let scale = { Sim.Experiments.domains = 2; txns = 8; think_us = 0. } in
+      let scale = { Sim.Driver.domains = 2; txns = 8; think_us = 0. } in
       let o =
         Sim.Shard_exp.run_one ~scale ~seed ~shards:2 ~cross_pct:40. ()
       in
@@ -538,6 +562,11 @@ let () =
           Alcotest.test_case "decided ts mismatch" `Quick test_audit_decided_ts_mismatch;
           Alcotest.test_case "precedes outside TS" `Quick test_audit_precedes_violation;
           Alcotest.test_case "clean history passes" `Quick test_audit_clean;
+        ] );
+      ( "live",
+        [
+          Alcotest.test_case "sharded live workload audits clean, then flags a forgery"
+            `Quick test_shard_live_audit;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest [ prop_cross_shard_atomic ] );

@@ -83,9 +83,9 @@ let test_profile_zero_weights_rejected () =
 let test_driver_runs_all_txns () =
   let mgr = Runtime.Manager.create () in
   let counter = Atomic.make 0 in
-  let config = { Sim.Driver.domains = 3; txns_per_domain = 7; think_us = 0. } in
+  let scale = { Sim.Driver.domains = 3; txns = 7; think_us = 0. } in
   let result =
-    Sim.Driver.run config ~mgr (fun ~domain:_ ~seq:_ _txn -> Atomic.incr counter)
+    Sim.Driver.run scale ~mgr (fun ~domain:_ ~seq:_ _txn -> Atomic.incr counter)
   in
   Alcotest.(check int) "bodies executed" 21 (Atomic.get counter);
   Alcotest.(check int) "all committed" 21 result.Sim.Driver.committed;
@@ -94,15 +94,15 @@ let test_driver_runs_all_txns () =
 let test_driver_passes_indices () =
   let mgr = Runtime.Manager.create () in
   let seen = Array.make 2 (-1) in
-  let config = { Sim.Driver.domains = 2; txns_per_domain = 3; think_us = 0. } in
+  let scale = { Sim.Driver.domains = 2; txns = 3; think_us = 0. } in
   ignore
-    (Sim.Driver.run config ~mgr (fun ~domain ~seq _txn ->
+    (Sim.Driver.run scale ~mgr (fun ~domain ~seq _txn ->
          if seq = 2 then seen.(domain) <- seq));
   Alcotest.(check (array int)) "last seq seen per domain" [| 2; 2 |] seen
 
 (* ---------------- experiments (quick scale) ---------------- *)
 
-let quick = { Sim.Experiments.domains = 2; txns = 12; think_us = 5. }
+let quick = { Sim.Driver.domains = 2; txns = 12; think_us = 5. }
 
 let find_row t label =
   List.find
@@ -120,7 +120,7 @@ let test_exp_queue_enq_shape () =
     (fun r ->
       Alcotest.(check int)
         ("committed: " ^ r.Sim.Experiments.label)
-        (quick.Sim.Experiments.domains * quick.Sim.Experiments.txns)
+        (quick.Sim.Driver.domains * quick.Sim.Driver.txns)
         r.Sim.Experiments.committed)
     t.Sim.Experiments.rows
 
@@ -142,7 +142,7 @@ let test_exp_semiqueue_shape () =
    invocations: its verdict must say so rather than replay the holes,
    and it must still count as a violation. *)
 let test_wrapped_window_not_replayed () =
-  let scale = { Sim.Experiments.domains = 1; txns = 6000; think_us = 0. } in
+  let scale = { Sim.Driver.domains = 1; txns = 6000; think_us = 0. } in
   let t = Sim.Experiments.exp_directory ~scale () in
   let r = List.hd t.Sim.Experiments.rows in
   (match r.Sim.Experiments.atomic with

@@ -143,18 +143,26 @@ let test_batching () =
     Alcotest.failf "no batching: %d syncs for %d commits" row.Sim.Group_commit.g_fsyncs
       row.Sim.Group_commit.g_committed
 
-(* Kill-point crash recovery holds in both sync modes on a concurrent
-   workload: batching changes durability timing, not the log's record
-   order, so every crash image still recovers its committed prefix. *)
+(* Kill-point crash recovery holds in both sync modes on every
+   concurrent workload (queue, semiqueue, account): batching changes
+   durability timing, not the log's record order, so every crash image
+   still recovers its committed prefix, and the clean image the live
+   object's state. *)
 let test_crash_both_modes () =
   List.iter
     (fun group_commit ->
       let dir = temp_dir () in
-      let r = Sim.Crash_exp.queue ~group_commit ~dir () in
-      if not (Sim.Crash_exp.ok r) then
-        Alcotest.failf "crash recovery failed with group_commit=%b: %s" group_commit
-          (String.concat "; "
-             (List.map (fun (kp, e) -> kp ^ ": " ^ e) r.Sim.Crash_exp.c_failures)))
+      let runs = Sim.Crash_exp.all ~group_commit ~dir () in
+      Alcotest.(check int) "three runs" 3 (List.length runs);
+      List.iter
+        (fun r ->
+          if not (Sim.Crash_exp.ok r) then
+            Alcotest.failf "crash recovery of %s failed with group_commit=%b: %s"
+              r.Sim.Crash_exp.c_id group_commit
+              (String.concat "; "
+                 ((match r.Sim.Crash_exp.c_final with Ok () -> [] | Error e -> [ e ])
+                 @ List.map (fun (kp, e) -> kp ^ ": " ^ e) r.Sim.Crash_exp.c_failures)))
+        runs)
     [ true; false ]
 
 let () =
