@@ -96,11 +96,14 @@ let crc_table =
          done;
          !c))
 
-let crc32 ?(pos = 0) ?len s =
-  let len = match len with Some l -> l | None -> String.length s - pos in
+let crc32_bytes ?(pos = 0) ?len b =
+  let len = match len with Some l -> l | None -> Bytes.length b - pos in
   let table = Lazy.force crc_table in
   let c = ref 0xffffffff in
   for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xffffffff
+
+(* Reading never mutates, so viewing the string as bytes is safe. *)
+let crc32 ?pos ?len s = crc32_bytes ?pos ?len (Bytes.unsafe_of_string s)

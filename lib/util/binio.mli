@@ -40,3 +40,6 @@ val r_u32_at : string -> int -> int
 
 val crc32 : ?pos:int -> ?len:int -> string -> int
 (** CRC-32 (IEEE), as used by the log's record framing. *)
+
+val crc32_bytes : ?pos:int -> ?len:int -> bytes -> int
+(** {!crc32} over a byte sequence, for a writer that frames in place. *)

@@ -116,18 +116,29 @@ let decode_record s =
 let header_bytes = 8
 let max_record_bytes = 1 lsl 28
 
-let frame buf record =
-  let payload = Buffer.create 32 in
-  encode_record payload record;
-  let s = Buffer.contents payload in
-  B.w_u32 buf (String.length s);
-  B.w_u32 buf (B.crc32 s);
-  Buffer.add_string buf s
+(* One encoder frames every record: the payload is encoded once into
+   [enc], then blitted behind the header into [out], which is reused
+   from record to record.  A writer owns one, so an append builds no
+   fresh buffer or string. *)
+type encoder = { enc : Buffer.t; mutable out : Bytes.t }
 
-let framed_size record =
-  let buf = Buffer.create 32 in
-  frame buf record;
-  Buffer.length buf
+let encoder () = { enc = Buffer.create 64; out = Bytes.create 64 }
+
+(* Frame [record] into [e.out]; returns its framed length. *)
+let encode e record =
+  Buffer.clear e.enc;
+  encode_record e.enc record;
+  let len = Buffer.length e.enc in
+  let n = header_bytes + len in
+  if Bytes.length e.out < n then e.out <- Bytes.create (max n (2 * Bytes.length e.out));
+  Buffer.blit e.enc 0 e.out header_bytes len;
+  Bytes.set_int32_le e.out 0 (Int32.of_int len);
+  Bytes.set_int32_le e.out 4 (Int32.of_int (B.crc32_bytes ~pos:header_bytes ~len e.out));
+  n
+
+let frame_with e buf record = Buffer.add_subbytes buf e.out 0 (encode e record)
+let frame buf record = frame_with (encoder ()) buf record
+let framed_size record = encode (encoder ()) record
 
 type tail = Clean | Torn of int
 
@@ -175,6 +186,11 @@ let m_checkpoints = Obs.Metrics.counter "wal.checkpoints"
 let m_rewrites = Obs.Metrics.counter "wal.rewrites"
 let h_fsync = Obs.Metrics.histogram "wal.fsync_latency"
 
+(* Whole rewrites (temp file, its fsync, rename, directory fsync,
+   reopen): their fsyncs are not durability rounds, so they show here
+   and not in [wal.fsync_latency] or [wal.fsyncs]. *)
+let h_rewrite = Obs.Metrics.histogram "wal.rewrite_latency"
+
 (* Records made durable per sync round: the group-commit batch size.
    Buckets are counts, not seconds. *)
 let h_batch =
@@ -204,6 +220,9 @@ type t = {
   mutable sync_hook : (unit -> unit) option; (* test fault injection *)
   mutable file_records : int; (* records in the current file *)
   mutable file_bytes : int;
+  mutable n_rewrites : int;
+  encoder : encoder; (* frames every append, under [mutex] *)
+  mutable n_live : int; (* records a rewrite would emit: the sizes below *)
   (* live-set bookkeeping: exactly the records a rewrite must retain *)
   objs : (string, string * int option) Hashtbl.t; (* obj -> (adt, cell) *)
   ckpts : (string, int * string * int option) Hashtbl.t; (* obj -> (upto, payload, cell) *)
@@ -218,7 +237,7 @@ type t = {
          decision means abort, so only commits ever need retaining) *)
 }
 
-let create ?(fsync = true) ?(group_commit = true) ?(compact_threshold = 512) path =
+let create ?(fsync = true) ?(group_commit = true) ?(compact_threshold = 8192) path =
   let fd = Unix.openfile path Unix.[ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
   {
     path;
@@ -236,6 +255,9 @@ let create ?(fsync = true) ?(group_commit = true) ?(compact_threshold = 512) pat
     sync_hook = None;
     file_records = 0;
     file_bytes = 0;
+    n_rewrites = 0;
+    encoder = encoder ();
+    n_live = 0;
     objs = Hashtbl.create 8;
     ckpts = Hashtbl.create 8;
     active = Hashtbl.create 32;
@@ -250,9 +272,7 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let write_all fd s =
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
+let write_all fd b n =
   let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
   go 0
 
@@ -262,11 +282,26 @@ let fsync_dir path =
     Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-let live_records t =
-  Hashtbl.length t.objs + Hashtbl.length t.ckpts
-  + Hashtbl.fold (fun _ info acc -> acc + List.length info.t_ops) t.active 0
-  + Hashtbl.fold (fun _ (_, _, info) acc -> acc + List.length info.t_ops + 1) t.committed 0
-  + Hashtbl.length t.prepared + Hashtbl.length t.decisions
+(* The live count moves with every table below, so the rewrite
+   trigger reads it in O(1).  A table entry weighs one record, a
+   transaction its intentions (plus its Commit once committed). *)
+let add_live t tbl key v =
+  if not (Hashtbl.mem tbl key) then t.n_live <- t.n_live + 1;
+  Hashtbl.replace tbl key v
+
+let remove_live t tbl key =
+  if Hashtbl.mem tbl key then begin
+    t.n_live <- t.n_live - 1;
+    Hashtbl.remove tbl key
+  end
+
+let remove_active t txn =
+  match Hashtbl.find_opt t.active txn with
+  | None -> None
+  | Some info ->
+    Hashtbl.remove t.active txn;
+    t.n_live <- t.n_live - List.length info.t_ops;
+    Some info
 
 let find_active t txn =
   match Hashtbl.find_opt t.active txn with
@@ -291,44 +326,51 @@ let covered t ts info =
 let drop_covered t =
   let dead =
     Hashtbl.fold
-      (fun txn (_, ts, info) acc -> if covered t ts info then txn :: acc else acc)
+      (fun txn (_, ts, info) acc -> if covered t ts info then (txn, info) :: acc else acc)
       t.committed []
   in
-  List.iter (Hashtbl.remove t.committed) dead
+  List.iter
+    (fun (txn, info) ->
+      Hashtbl.remove t.committed txn;
+      t.n_live <- t.n_live - List.length info.t_ops - 1)
+    dead
 
 (* Track the live set under an appended record. *)
 let account t seq = function
-  | Object { obj; adt; cell } -> Hashtbl.replace t.objs obj (adt, cell)
+  | Object { obj; adt; cell } -> add_live t t.objs obj (adt, cell)
   | Intention { obj; txn; payload; cell } ->
     let info = find_active t txn in
     info.t_ops <- (seq, obj, payload, cell) :: info.t_ops;
+    t.n_live <- t.n_live + 1;
     if not (List.mem obj info.t_objs) then info.t_objs <- obj :: info.t_objs
   | Commit { txn; ts } -> (
-    Hashtbl.remove t.prepared txn;
-    match Hashtbl.find_opt t.active txn with
+    remove_live t t.prepared txn;
+    match remove_active t txn with
     | None -> () (* read-only or no-op transaction: nothing to redo *)
     | Some info ->
-      Hashtbl.remove t.active txn;
-      if not (covered t ts info) then Hashtbl.replace t.committed txn (seq, ts, info))
+      if not (covered t ts info) then begin
+        Hashtbl.replace t.committed txn (seq, ts, info);
+        t.n_live <- t.n_live + List.length info.t_ops + 1
+      end)
   | Abort { txn } ->
     (* Recovery discards uncommitted intentions anyway, so an aborted
        transaction's records need not be retained at all. *)
-    Hashtbl.remove t.prepared txn;
-    Hashtbl.remove t.active txn
+    remove_live t t.prepared txn;
+    ignore (remove_active t txn : txn_info option)
   | Prepare { txn; gtxn; ts } ->
     (* An in-doubt vote must survive rewrites until the decision lands:
        recovery keys its decision-log lookup on it. *)
-    Hashtbl.replace t.prepared txn (seq, gtxn, ts)
-  | Decide { gtxn; ts } -> Hashtbl.replace t.decisions gtxn (seq, ts)
+    add_live t t.prepared txn (seq, gtxn, ts)
+  | Decide { gtxn; ts } -> add_live t t.decisions gtxn (seq, ts)
   | Forget { gtxn } ->
     (* Written only after every participant durably committed, so no
        recovery will ever ask about this decision again. *)
-    Hashtbl.remove t.decisions gtxn
+    remove_live t t.decisions gtxn
   | Checkpoint { obj; upto; payload; cell } ->
     Obs.Metrics.incr m_checkpoints;
     (match Hashtbl.find_opt t.ckpts obj with
     | Some (prev, _, _) when prev > upto -> () (* never regress a checkpoint *)
-    | Some _ | None -> Hashtbl.replace t.ckpts obj (upto, payload, cell));
+    | Some _ | None -> add_live t t.ckpts obj (upto, payload, cell));
     drop_covered t
 
 (* Rewrite the file down to the live set: per-object declarations and
@@ -338,10 +380,11 @@ let account t seq = function
    run while a sync leader is fsyncing outside the mutex — the leader
    holds the old fd. *)
 let rewrite_locked t =
+  let t0 = Obs.Clock.now_ns () in
   let buf = Buffer.create 4096 in
   let count = ref 0 in
   let emit r =
-    frame buf r;
+    frame_with t.encoder buf r;
     incr count
   in
   Hashtbl.fold (fun obj (adt, cell) acc -> (obj, adt, cell) :: acc) t.objs []
@@ -372,7 +415,7 @@ let rewrite_locked t =
   let tmp = t.path ^ ".rewrite" in
   let fd = Unix.openfile tmp Unix.[ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
   (try
-     write_all fd (Buffer.contents buf);
+     write_all fd (Buffer.to_bytes buf) (Buffer.length buf);
      if t.fsync then Unix.fsync fd;
      Unix.close fd
    with e ->
@@ -387,26 +430,30 @@ let rewrite_locked t =
   t.durable_lsn <- t.seq;
   t.file_records <- !count;
   t.file_bytes <- Buffer.length buf;
-  Obs.Metrics.incr m_rewrites
+  t.n_rewrites <- t.n_rewrites + 1;
+  Obs.Metrics.incr m_rewrites;
+  Obs.Metrics.observe h_rewrite (Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0))
 
+(* Amortised: a rewrite costs O(live) plus two fsyncs, so it waits for
+   [max compact_threshold live] dead records.  The floor spreads the
+   fixed cost over many appends; the live term keeps the total rewrite
+   work linear in appends when the live set grows (a pinned snapshot,
+   many in-doubt prepares), and bounds the file at twice the live set
+   plus the floor. *)
 let maybe_rewrite_locked t =
-  if
-    (not t.syncing)
-    && t.file_records - live_records t >= t.compact_threshold
-  then rewrite_locked t
+  if (not t.syncing) && t.file_records - t.n_live >= max t.compact_threshold t.n_live then
+    rewrite_locked t
 
 let append_lsn t record =
   with_lock t (fun () ->
       if t.closed then invalid_arg "Wal.Log.append: log closed";
-      let buf = Buffer.create 64 in
-      frame buf record;
-      let s = Buffer.contents buf in
-      write_all t.fd s;
+      let n = encode t.encoder record in
+      write_all t.fd t.encoder.out n;
       t.seq <- t.seq + 1;
       t.file_records <- t.file_records + 1;
-      t.file_bytes <- t.file_bytes + String.length s;
+      t.file_bytes <- t.file_bytes + n;
       Obs.Metrics.incr m_appends;
-      Obs.Metrics.add m_bytes (String.length s);
+      Obs.Metrics.add m_bytes n;
       account t t.seq record;
       let lsn = t.seq in
       maybe_rewrite_locked t;
@@ -501,7 +548,8 @@ let close t =
       end)
 
 let file_records t = with_lock t (fun () -> t.file_records)
-let live t = with_lock t (fun () -> live_records t)
+let live t = with_lock t (fun () -> t.n_live)
+let rewrites t = with_lock t (fun () -> t.n_rewrites)
 let appended_lsn t = with_lock t (fun () -> t.seq)
 let durable_lsn t = with_lock t (fun () -> t.durable_lsn)
 let fsyncs t = with_lock t (fun () -> t.n_syncs)
@@ -520,7 +568,7 @@ let stats_json t () =
           ("path", Obs.Json.String t.path);
           ("file_records", Obs.Json.Int t.file_records);
           ("file_bytes", Obs.Json.Int t.file_bytes);
-          ("live_records", Obs.Json.Int (live_records t));
+          ("live_records", Obs.Json.Int t.n_live);
           ("objects", Obs.Json.Int (Hashtbl.length t.objs));
           ("checkpoints", Obs.Json.Int (Hashtbl.length t.ckpts));
           ("active_txns", Obs.Json.Int (Hashtbl.length t.active));
@@ -530,6 +578,7 @@ let stats_json t () =
           ("appended_lsn", Obs.Json.Int t.seq);
           ("durable_lsn", Obs.Json.Int t.durable_lsn);
           ("fsyncs", Obs.Json.Int t.n_syncs);
+          ("rewrites", Obs.Json.Int t.n_rewrites);
           ("group_commit", Obs.Json.Bool t.group_commit);
           ("dirty", Obs.Json.Bool (t.durable_lsn < t.seq));
         ])
@@ -541,7 +590,7 @@ let register_introspection t =
   Obs.Gauge.callback ~labels "wal_file_bytes" (fun () ->
       float_of_int (with_lock t (fun () -> t.file_bytes)));
   Obs.Gauge.callback ~labels "wal_live_records" (fun () ->
-      float_of_int (with_lock t (fun () -> live_records t)));
+      float_of_int (with_lock t (fun () -> t.n_live)));
   (* Committed transactions whose records the compactor must still
      retain because some touched object has not checkpointed past their
      timestamp — the log's checkpoint lag. *)

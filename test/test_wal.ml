@@ -190,6 +190,153 @@ let test_log_stays_bounded () =
   | Error e -> Alcotest.fail e
   | Ok oc -> check_bool "recovered count" true (R.equal_states oc.R.states [ txns ])
 
+(* ---------------- amortised rewrites ---------------- *)
+
+let test_live_count_matches_rewrite () =
+  (* The live count is kept incrementally; a rewrite writes exactly the
+     live set, so right after the append that trips one the file must
+     hold [live] records.  Threshold 0 rewrites whenever the dead
+     records reach the live set, across every record kind: declarations,
+     active and aborted intentions, covered and uncovered commits,
+     in-doubt and resolved prepares, retained and forgotten decisions,
+     and checkpoints that advance or would regress. *)
+  let path = temp_wal () in
+  let w = Wal.Log.create ~fsync:false ~compact_threshold:0 path in
+  let rng = Random.State.make [| 7 |] in
+  let objs = [| "a"; "b"; "c" |] in
+  let pick () = objs.(Random.State.int rng (Array.length objs)) in
+  let seen = ref 0 and mismatches = ref [] in
+  let append r =
+    Wal.Log.append w r;
+    let n = Wal.Log.rewrites w in
+    if n > !seen then begin
+      seen := n;
+      let f = Wal.Log.file_records w and l = Wal.Log.live w in
+      if f <> l then mismatches := (n, f, l) :: !mismatches
+    end
+  in
+  Array.iter (fun obj -> append (Wal.Log.Object { obj; adt = "Counter"; cell = None })) objs;
+  let ts = ref 0 and undecided = Queue.create () in
+  for txn = 1 to 2_000 do
+    for _ = 0 to Random.State.int rng 3 do
+      append (Wal.Log.Intention { obj = pick (); txn; payload = "x"; cell = None })
+    done;
+    incr ts;
+    (match Random.State.int rng 6 with
+    | 0 -> append (Wal.Log.Abort { txn })
+    | 1 -> () (* left active *)
+    | 2 -> append (Wal.Log.Prepare { txn; gtxn = txn; ts = !ts }) (* left in doubt *)
+    | 3 ->
+      append (Wal.Log.Prepare { txn; gtxn = txn; ts = !ts });
+      append (Wal.Log.Commit { txn; ts = !ts })
+    | _ -> append (Wal.Log.Commit { txn; ts = !ts }));
+    if Random.State.int rng 4 = 0 then begin
+      append (Wal.Log.Decide { gtxn = txn; ts = !ts });
+      Queue.push txn undecided
+    end;
+    if Queue.length undecided > 3 then append (Wal.Log.Forget { gtxn = Queue.pop undecided });
+    if Random.State.int rng 3 = 0 then
+      append
+        (Wal.Log.Checkpoint
+           { obj = pick (); upto = !ts - Random.State.int rng 8; payload = ""; cell = None })
+  done;
+  Wal.Log.close w;
+  check_bool (Printf.sprintf "rewrites happened (%d)" !seen) true (!seen > 5);
+  List.iter
+    (fun (n, f, l) -> Alcotest.failf "after rewrite %d the file holds %d records, live %d" n f l)
+    !mismatches
+
+let test_rewrite_under_group_commit () =
+  (* Two domains commit through one group-commit log with a small
+     floor, so rewrites interleave with sync leaders running outside the
+     log mutex (a rewrite is deferred while one is). *)
+  let path = temp_wal () in
+  let floor = 32 in
+  let w = Wal.Log.create ~fsync:false ~group_commit:true ~compact_threshold:floor path in
+  let mgr = Runtime.Manager.create ~wal:w () in
+  let objs =
+    Array.init 2 (fun i ->
+        Cobj.create ~name:(Printf.sprintf "gc%d" i) ~wal:(w, Adt.Counter.codec)
+          ~conflict:Adt.Counter.conflict_hybrid ())
+  in
+  let txns = 400 in
+  let _ =
+    Sim.Driver.loop { Sim.Driver.domains = 2; txns; think_us = 0. } (fun ~domain ~seq:_ ->
+        Runtime.Manager.run mgr (fun txn ->
+            ignore (Cobj.invoke objs.(domain) txn (Adt.Counter.Inc 1))))
+  in
+  let rewrites = Wal.Log.rewrites w in
+  let live = Wal.Log.live w and file_records = Wal.Log.file_records w in
+  let committed = Array.map Cobj.committed_states objs in
+  Wal.Log.close w;
+  check_bool (Printf.sprintf "rewrites > 0 (%d)" rewrites) true (rewrites > 0);
+  (* Below the trigger the dead records number under max(floor, live);
+     the slack covers the appends another domain makes while a sync
+     leader defers the rewrite. *)
+  let bound = max floor live + live + 16 in
+  check_bool
+    (Printf.sprintf "file records %d within %d (live %d)" file_records bound live)
+    true (file_records <= bound);
+  let records, tail = Wal.Log.read path in
+  check_bool "clean tail" true (tail = Wal.Log.Clean);
+  let module R = Wal.Recover.Make (Adt.Counter) in
+  Array.iteri
+    (fun i o ->
+      match R.recover ~obj:(Cobj.name o) records with
+      | Error e -> Alcotest.fail e
+      | Ok oc ->
+        check_bool
+          (Printf.sprintf "recovered %s equals its committed state" (Cobj.name o))
+          true
+          (R.equal_states oc.R.states committed.(i));
+        check_bool "every increment committed" true (R.equal_states committed.(i) [ txns ]))
+    objs
+
+(* One object pinned by a snapshot reader retains every commit (two
+   records each) while a second object's commits die at its next
+   checkpoint (three records each).  Returns the rewrites and the dead
+   records appended. *)
+let rewrites_under_pin ~floor n =
+  let path = temp_wal () in
+  let w = Wal.Log.create ~fsync:false ~compact_threshold:floor path in
+  let mgr = Runtime.Manager.create ~wal:w () in
+  let make name =
+    Cobj.create ~name ~wal:(w, Adt.Counter.codec) ~conflict:Adt.Counter.conflict_hybrid ()
+  in
+  let pinned = make "pinned" and free = make "free" in
+  let inc c = Runtime.Manager.run mgr (fun txn -> ignore (Cobj.invoke c txn (Adt.Counter.Inc 1))) in
+  inc pinned;
+  let reader = Model.Txn.make (-4242) in
+  let src = Cobj.snapshot_source pinned in
+  src.Runtime.Snapshot.pin reader (Runtime.Manager.stable_time mgr);
+  for _ = 1 to n do
+    inc pinned;
+    inc free
+  done;
+  let rewrites = Wal.Log.rewrites w in
+  let dead = Wal.Log.appended_lsn w - Wal.Log.live w in
+  src.Runtime.Snapshot.unpin reader;
+  Wal.Log.close w;
+  (rewrites, dead)
+
+let test_rewrites_logarithmic_under_pin () =
+  (* After a rewrite leaves L live records, the next needs L dead ones,
+     by which time the live set has grown to about 3L: rewrites grow as
+     log N.  A fixed floor alone would rewrite every [floor] dead
+     records, N * 3 / floor times, each copying the whole live set. *)
+  let floor = 16 in
+  let r1, _ = rewrites_under_pin ~floor 250 in
+  let r8, dead8 = rewrites_under_pin ~floor 2_000 in
+  check_bool (Printf.sprintf "rewrites happen (%d at N = 250)" r1) true (r1 > 0);
+  (* 8x the commits should add about log3 8 = 2 rewrites *)
+  check_bool
+    (Printf.sprintf "rewrites %d at N = 2000 within %d + 6" r8 r1)
+    true (r8 <= r1 + 6);
+  check_bool
+    (Printf.sprintf "far below a floor-only rule (%d vs %d)" r8 (dead8 / floor))
+    true
+    (r8 * 10 < dead8 / floor)
+
 (* ---------------- snapshot pin blocks truncation ---------------- *)
 
 let test_pin_blocks_checkpoint_past_pin () =
@@ -274,6 +421,12 @@ let () =
           Alcotest.test_case "log stays O(live) under commits" `Quick test_log_stays_bounded;
           Alcotest.test_case "snapshot pin blocks truncation" `Quick
             test_pin_blocks_checkpoint_past_pin;
+          Alcotest.test_case "live count equals what a rewrite keeps" `Quick
+            test_live_count_matches_rewrite;
+          Alcotest.test_case "rewrite under concurrent group commit" `Quick
+            test_rewrite_under_group_commit;
+          Alcotest.test_case "rewrites grow as log N under a pin" `Quick
+            test_rewrites_logarithmic_under_pin;
         ] );
       ( "recovery",
         [
