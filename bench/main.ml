@@ -415,7 +415,6 @@ let test_trace_analysis =
     emit (Obs.Trace.Invoke 0);
     emit (refusal (Some (q - 1)));
     emit Obs.Trace.Retry;
-    emit Obs.Trace.Lock_granted;
     emit (Obs.Trace.Respond 0);
     emit (Obs.Trace.Commit q)
   done;

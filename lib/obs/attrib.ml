@@ -118,9 +118,9 @@ let of_entries entries =
         | None -> ());
         if not (Hashtbl.mem open_waits (e.obj, e.txn)) then
           Hashtbl.add open_waits (e.obj, e.txn) (cell_key, e.time)
-      | Trace.Lock_granted -> close_window (e.obj, e.txn) e.time
+      | Trace.Respond _ -> close_window (e.obj, e.txn) e.time
       | Trace.Commit _ | Trace.Abort -> close_txn_windows e.txn e.time
-      | Trace.Invoke _ | Trace.Respond _ | Trace.Blocked | Trace.Retry
+      | Trace.Invoke _ | Trace.Blocked | Trace.Retry
       | Trace.Horizon_advanced _ | Trace.Forgotten _ ->
         ())
     entries;

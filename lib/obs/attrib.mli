@@ -65,7 +65,7 @@ type t
 val of_entries : Trace.entry list -> t
 (** Fold a trace window (oldest first, as {!Trace.entries} returns it).
     A refusal opens a blocked window for its (object, transaction);
-    the window closes at that transaction's next [Lock_granted] on the
+    the window closes at that transaction's next [Respond] on the
     object, or its [Commit]/[Abort]; windows still open at the end of
     the trace close at the last entry's timestamp. *)
 

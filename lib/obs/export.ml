@@ -72,8 +72,8 @@ let chrome_trace ppf (entries : Trace.entry list) =
           ~res_label:
             (Printf.sprintf ",\"response\":%s"
                (json_string (Attrib.label ~obj:e.obj ~kind:Attrib.Res c)))
-          e.time
-      | Trace.Lock_granted -> close_stall ~obj:e.obj ~txn:e.txn ~outcome:"granted" e.time
+          e.time;
+        close_stall ~obj:e.obj ~txn:e.txn ~outcome:"granted" e.time
       | Trace.Lock_refused r ->
         instant ~pid:obj_pid ~tid:e.obj ~cat:"refusal"
           ~name:

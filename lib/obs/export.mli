@@ -10,7 +10,7 @@
       instant events;
     - one {e thread} per transaction under the ["transactions"]
       process, carrying a span per stalled attempt from the first
-      [Lock_refused]/[Retry] to the eventual [Lock_granted] (named by
+      [Lock_refused]/[Retry] to the eventual [Respond] (named by
       the fired conflict cell), and instants for [Commit]/[Abort].
 
     Timestamps are the entries' monotonic-clock readings rebased to the

@@ -13,7 +13,7 @@ module Make (A : Spec.Adt_sig.S) = struct
           | Trace.Respond c -> Option.map (fun r -> H.Respond (q, r)) (decode_res c)
           | Trace.Commit ts -> Some (H.Commit (q, ts))
           | Trace.Abort -> Some (H.Abort q)
-          | Trace.Lock_granted | Trace.Lock_refused _ | Trace.Blocked | Trace.Retry
+          | Trace.Lock_refused _ | Trace.Blocked | Trace.Retry
           | Trace.Horizon_advanced _ | Trace.Forgotten _ ->
             None)
       entries

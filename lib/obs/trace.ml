@@ -3,7 +3,6 @@ type refusal = { holder : int option; requested : int; held : int }
 type event =
   | Invoke of int
   | Respond of int
-  | Lock_granted
   | Lock_refused of refusal
   | Blocked
   | Retry
@@ -61,7 +60,6 @@ let clear t =
 let pp_event ppf = function
   | Invoke c -> Format.fprintf ppf "invoke#%d" c
   | Respond c -> Format.fprintf ppf "respond#%d" c
-  | Lock_granted -> Format.pp_print_string ppf "lock-granted"
   | Lock_refused { holder = Some h; requested; held } ->
     Format.fprintf ppf "lock-refused(op#%d vs op#%d held by T%d)" requested held h
   | Lock_refused { holder = None; requested; held } ->

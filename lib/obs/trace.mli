@@ -31,8 +31,9 @@ type refusal = { holder : int option; requested : int; held : int }
 
 type event =
   | Invoke of int  (** invocation, by interned code *)
-  | Respond of int  (** chosen response, by interned code *)
-  | Lock_granted  (** the response's lock was granted and recorded *)
+  | Respond of int
+      (** chosen response, by interned code; its lock is granted and
+          recorded with it *)
   | Lock_refused of refusal  (** lock conflict, with attribution *)
   | Blocked  (** no legal response in the view (partial operation) *)
   | Retry  (** the retry loop is about to re-attempt a refused invocation *)

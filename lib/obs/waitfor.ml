@@ -108,7 +108,7 @@ let analyze (entries : Trace.entry list) =
           | None -> ());
           max_width := max !max_width (live_width ())
         | Some _ | None -> ())
-      | Trace.Lock_granted -> close_wait (e.obj, e.txn) e.time
+      | Trace.Respond _ -> close_wait (e.obj, e.txn) e.time
       | Trace.Commit _ | Trace.Abort ->
         if e.event = Trace.Abort then
           (* dying while stalled on a holder (wait-die victims included:
@@ -128,8 +128,7 @@ let analyze (entries : Trace.entry list) =
         Hashtbl.iter
           (fun _ w -> if w.holder = Some e.txn then w.holder <- None)
           waits
-      | Trace.Invoke _ | Trace.Respond _ | Trace.Blocked
-      | Trace.Horizon_advanced _ | Trace.Forgotten _ ->
+      | Trace.Invoke _ | Trace.Blocked | Trace.Horizon_advanced _ | Trace.Forgotten _ ->
         ())
     entries;
   Hashtbl.fold (fun key _ acc -> key :: acc) waits []

@@ -587,8 +587,7 @@ module Make (A : Spec.Adt_sig.S) = struct
                })
         | None -> ());
         push_event t (H.Respond (q, r));
-        emit t ~txn:qid (Obs.Trace.Respond (encode_res t r));
-        emit t ~txn:qid Obs.Trace.Lock_granted
+        emit t ~txn:qid (Obs.Trace.Respond (encode_res t r))
       end;
       Ok r
     | Error (`Blocked, _) ->

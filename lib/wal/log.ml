@@ -142,29 +142,40 @@ let framed_size record = encode (encoder ()) record
 
 type tail = Clean | Torn of int
 
-(* One framing or decode failure ends the parse: everything at or after
-   the bad offset is a torn tail (the expected shape after kill -9 mid
-   append).  CRC catches a partially written payload whose length header
-   made it to disk intact. *)
-let parse s =
+let rec zeros_from s off = off = String.length s || (s.[off] = '\000' && zeros_from s (off + 1))
+
+(* The one framing walk.  One framing or decode failure ends it:
+   everything at or after the bad offset is a torn tail (the expected
+   shape after kill -9 mid append), unless it is a run of at least
+   [header_bytes] zeros reaching the end — the space an open writer
+   reserved and has not written yet.  CRC catches a partially written
+   payload whose length header made it to disk intact. *)
+let frames s =
   let n = String.length s in
+  let stop acc off =
+    (List.rev acc, if n - off >= header_bytes && zeros_from s off then Clean else Torn off)
+  in
   let rec go acc off =
     if off = n then (List.rev acc, Clean)
-    else if n - off < header_bytes then (List.rev acc, Torn off)
+    else if n - off < header_bytes then stop acc off
     else
       let len = B.r_u32_at s off in
       let crc = B.r_u32_at s (off + 4) in
-      if len < 0 || len > max_record_bytes || off + header_bytes + len > n then
-        (List.rev acc, Torn off)
+      if len < 0 || len > max_record_bytes || off + header_bytes + len > n then stop acc off
       else
         let payload = String.sub s (off + header_bytes) len in
-        if B.crc32 payload <> crc then (List.rev acc, Torn off)
+        if B.crc32 payload <> crc then stop acc off
         else
+          let next = off + header_bytes + len in
           match decode_record payload with
-          | record -> go (record :: acc) (off + header_bytes + len)
-          | exception B.Corrupt _ -> (List.rev acc, Torn off)
+          | record -> go ((record, next) :: acc) next
+          | exception B.Corrupt _ -> stop acc off
   in
   go [] 0
+
+let parse s =
+  let frames, tail = frames s in
+  (List.map fst frames, tail)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -186,8 +197,8 @@ let m_checkpoints = Obs.Metrics.counter "wal.checkpoints"
 let m_rewrites = Obs.Metrics.counter "wal.rewrites"
 let h_fsync = Obs.Metrics.histogram "wal.fsync_latency"
 
-(* Whole rewrites (temp file, its fsync, rename, directory fsync,
-   reopen): their fsyncs are not durability rounds, so they show here
+(* Whole rewrites (temp file, its fsync, rename, directory fsync):
+   their fsyncs are not durability rounds, so they show here
    and not in [wal.fsync_latency] or [wal.fsyncs]. *)
 let h_rewrite = Obs.Metrics.histogram "wal.rewrite_latency"
 
@@ -204,6 +215,22 @@ type txn_info = {
   mutable t_objs : string list; (* objects touched, no duplicates *)
 }
 
+(* The file is kept longer than its records, by whole chunks of a
+   sparse extension: an append then writes inside the file's size, so
+   the fsync that makes it durable flushes the record but journals no
+   new size.  [reserve fd ~size upto] returns the file's new size, at
+   least [header_bytes] past [upto], so the unwritten space a crash
+   leaves behind is a zero run {!parse} can tell from a torn frame. *)
+let reserve_chunk = 256 * 1024
+
+let reserve fd ~size upto =
+  if upto + header_bytes <= size then size
+  else begin
+    let size = (upto + header_bytes + reserve_chunk - 1) / reserve_chunk * reserve_chunk in
+    Unix.ftruncate fd size;
+    size
+  end
+
 type t = {
   path : string;
   fsync : bool;
@@ -219,7 +246,8 @@ type t = {
   mutable n_syncs : int; (* completed durability rounds (one fsync each) *)
   mutable sync_hook : (unit -> unit) option; (* test fault injection *)
   mutable file_records : int; (* records in the current file *)
-  mutable file_bytes : int;
+  mutable file_bytes : int; (* = the write offset *)
+  mutable reserved : int; (* the file's size, kept ahead of [file_bytes] *)
   mutable n_rewrites : int;
   encoder : encoder; (* frames every append, under [mutex] *)
   mutable n_live : int; (* records a rewrite would emit: the sizes below *)
@@ -239,6 +267,7 @@ type t = {
 
 let create ?(fsync = true) ?(group_commit = true) ?(compact_threshold = 8192) path =
   let fd = Unix.openfile path Unix.[ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
+  let reserved = reserve fd ~size:0 0 in
   {
     path;
     fsync;
@@ -255,6 +284,7 @@ let create ?(fsync = true) ?(group_commit = true) ?(compact_threshold = 8192) pa
     sync_hook = None;
     file_records = 0;
     file_bytes = 0;
+    reserved;
     n_rewrites = 0;
     encoder = encoder ();
     n_live = 0;
@@ -414,17 +444,23 @@ let rewrite_locked t =
   |> List.iter (fun (_, r) -> emit r);
   let tmp = t.path ^ ".rewrite" in
   let fd = Unix.openfile tmp Unix.[ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
-  (try
-     write_all fd (Buffer.to_bytes buf) (Buffer.length buf);
-     if t.fsync then Unix.fsync fd;
-     Unix.close fd
-   with e ->
-     Unix.close fd;
-     raise e);
-  Unix.rename tmp t.path;
+  (* The successor is reserved before its fsync, and stays open: its
+     offset is already at the end of its records. *)
+  let reserved =
+    try
+      write_all fd (Buffer.to_bytes buf) (Buffer.length buf);
+      let reserved = reserve fd ~size:0 (Buffer.length buf) in
+      if t.fsync then Unix.fsync fd;
+      Unix.rename tmp t.path;
+      reserved
+    with e ->
+      Unix.close fd;
+      raise e
+  in
   if t.fsync then fsync_dir t.path;
   Unix.close t.fd;
-  t.fd <- Unix.openfile t.path Unix.[ O_WRONLY; O_APPEND; O_CLOEXEC ] 0o644;
+  t.fd <- fd;
+  t.reserved <- reserved;
   (* The whole live set was just written (and, when durability is on,
      fsynced through the rename): every appended record is durable. *)
   t.durable_lsn <- t.seq;
@@ -448,6 +484,7 @@ let append_lsn t record =
   with_lock t (fun () ->
       if t.closed then invalid_arg "Wal.Log.append: log closed";
       let n = encode t.encoder record in
+      t.reserved <- reserve t.fd ~size:t.reserved (t.file_bytes + n);
       write_all t.fd t.encoder.out n;
       t.seq <- t.seq + 1;
       t.file_records <- t.file_records + 1;
@@ -541,6 +578,10 @@ let close t =
         Condition.wait t.cond t.mutex
       done;
       if not t.closed then begin
+        (* Give back the reserved space.  A crash before the size
+           change is durable leaves it as a zero run, which parses as a
+           clean end of log, so it needs no fsync of its own. *)
+        Unix.ftruncate t.fd t.file_bytes;
         if t.durable_lsn < t.seq && t.fsync then Unix.fsync t.fd;
         t.durable_lsn <- t.seq;
         Unix.close t.fd;

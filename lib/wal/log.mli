@@ -49,6 +49,15 @@
     first bad frame and reports it as a torn tail, which is the expected
     shape after [kill -9] mid-append.
 
+    An open log's file is longer than its records: the writer extends it
+    with [ftruncate] in 256 KiB chunks (sparse, no zeros written) ahead
+    of its write offset, and writes each record in place.  A forced
+    record then changes no file size, so its fsync flushes the record
+    and not a new size too.  The unwritten space reads as zeros, and
+    {!parse} takes a zero run of at least one header that reaches the
+    end of the file as a clean end of log; garbage inside it is still a
+    torn tail.  {!close} truncates the file to its records.
+
     The writer keeps the live record set in memory (object declarations,
     latest checkpoints, intentions not yet covered by every touched
     object's checkpoint), with its size kept as a running count, and
@@ -56,8 +65,8 @@
     [max compact_threshold live] — keeping the log O(live transactions)
     instead of O(history).  The rewrite runs inline, in the append (or
     the sync round) that trips it, under the log mutex: it writes a temp
-    file, fsyncs it, renames it over the log, fsyncs the directory and
-    reopens.  The floor spreads that fixed cost over at least
+    file, reserves space past it, fsyncs it, renames it over the log,
+    fsyncs the directory and keeps writing to it.  The floor spreads that fixed cost over at least
     [compact_threshold] appends; the [live] term spreads the O(live)
     copy over as many appends as it copies, so total rewrite work stays
     linear in appends even while the live set grows.
@@ -110,6 +119,15 @@ val framed_size : record -> int
 type tail = Clean | Torn of int  (** byte offset of the first bad frame *)
 
 val parse : string -> record list * tail
+(** The records before the first bad frame.  A run of at least eight
+    zero bytes that reaches the end of the string is space a writer
+    reserved and had not written yet: the tail is [Clean]. *)
+
+val frames : string -> (record * int) list * tail
+(** {!parse}, with the byte offset just past each record's frame.  It is
+    the one framing walk: {!Crash} cuts its images along these offsets,
+    so a cut never lands in the reserved space past the last record. *)
+
 val read_file : string -> string
 val read : string -> record list * tail
 
@@ -118,7 +136,8 @@ val read : string -> record list * tail
 type t
 
 val create : ?fsync:bool -> ?group_commit:bool -> ?compact_threshold:int -> string -> t
-(** Open a fresh log at the given path (truncating any previous file).
+(** Open a fresh log at the given path (truncating any previous file),
+    with its first chunk of space reserved.
     [fsync:false] turns the durability barrier into bookkeeping only —
     for experiments where durability across power loss is not under
     test (the sync hook still runs, so fault injection works without
@@ -129,7 +148,9 @@ val create : ?fsync:bool -> ?group_commit:bool -> ?compact_threshold:int -> stri
     and the live set; [max_int] never rewrites. *)
 
 val append : t -> record -> unit
-(** Thread-safe; buffered by the OS until a sync covers it. *)
+(** Thread-safe.  Writes the record in place in the reserved space
+    (reserving the next chunk first when it would not fit); the bytes
+    sit in the OS page cache until a sync covers them. *)
 
 val append_lsn : t -> record -> int
 (** Like {!append} but returns the record's LSN — the value to hand to
@@ -153,8 +174,9 @@ val set_sync_hook : t -> (unit -> unit) -> unit
 val clear_sync_hook : t -> unit
 
 val close : t -> unit
-(** Forces anything outstanding and closes the file; every appended
-    record then counts as durable ({!durable_lsn} = {!appended_lsn}). *)
+(** Truncates the file to its records, forces anything outstanding and
+    closes it; every appended record then counts as durable
+    ({!durable_lsn} = {!appended_lsn}). *)
 
 val path : t -> string
 

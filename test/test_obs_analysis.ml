@@ -150,7 +150,7 @@ let test_attrib_blocked_time () =
       entry 0 0 7 2 refusal;
       entry 1 1_000 7 2 refusal;
       (* second refusal of the same stalled attempt: counts, no reopen *)
-      entry 2 3_000 7 2 Obs.Trace.Lock_granted;
+      entry 2 3_000 7 2 (Obs.Trace.Respond 0);
       entry 3 9_000 8 3 refusal;
       (* never granted: charged up to the last entry *)
       entry 4 10_000 8 3 (Obs.Trace.Commit 1);
@@ -205,11 +205,11 @@ let test_waitfor_grant_closes_edge () =
     [
       entry 0 0 7 1 (refused ~holder:2);
       entry 1 1_000 7 1 Obs.Trace.Retry;
-      entry 2 5_000 7 1 Obs.Trace.Lock_granted;
+      entry 2 5_000 7 1 (Obs.Trace.Respond 0);
       (* 2 then waits on 1 — no cycle, 1 no longer waits *)
       entry 3 6_000 8 2 (refused ~holder:1);
       entry 4 7_000 8 2 Obs.Trace.Retry;
-      entry 5 9_000 8 2 Obs.Trace.Lock_granted;
+      entry 5 9_000 8 2 (Obs.Trace.Respond 0);
     ]
   in
   let r = Obs.Waitfor.analyze window in

@@ -62,8 +62,6 @@ let test_stress_account () =
     (count (function Obs.Trace.Abort -> true | _ -> false));
   check_int "trace responses = recorded operations" s.AObj.invocations
     (count (function Obs.Trace.Respond _ -> true | _ -> false));
-  check_int "trace grants = recorded operations" s.AObj.invocations
-    (count (function Obs.Trace.Lock_granted -> true | _ -> false));
   check_int "trace refusals = conflict counter" s.AObj.conflicts
     (count (function Obs.Trace.Lock_refused _ -> true | _ -> false));
   check_int "trace blocked = blocked counter" s.AObj.blocked
