@@ -59,10 +59,11 @@ module Make (D : Wal.Codec.DURABLE) = struct
                oc.R.states R.pp_states live_states)
     in
     let kps = Wal.Crash.kill_points ~limit raw in
+    let image = Wal.Crash.image raw in
     let failures =
       List.filter_map
         (fun kp ->
-          let recs, _ = Wal.Log.parse (Wal.Crash.image raw kp) in
+          let recs, _ = Wal.Log.parse (image kp) in
           let label () = Format.asprintf "%a" Wal.Crash.pp_kill_point kp in
           match (R.recover ~obj:name recs, R.reference ~obj:name recs) with
           | Error e, _ -> Some (label (), "recover: " ^ e)

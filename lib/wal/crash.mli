@@ -22,6 +22,8 @@ val kill_points : ?limit:int -> string -> kill_point list
     sampled at a deterministic stride. *)
 
 val image : string -> kill_point -> string
-(** The bytes surviving a crash at the kill point. *)
+(** The bytes surviving a crash at the kill point.  [image raw] walks
+    the frames of [raw] once; apply it once and reuse the result for
+    every kill point of one image. *)
 
 val cut : string -> at:int -> string
