@@ -631,8 +631,7 @@ let run_flight_overhead () =
    pre-rework mutex paths, in short slices taken like the
    flight-overhead gate's; on boxes with fewer than 4 cores the mutex
    convoy never forms, so the ratio assertion relaxes to >= 1 there
-   (the zero-lock check still proves the structural claim).
-   HOTPATH_BASELINE=1 skips both assertions (baseline measurement). *)
+   (the zero-lock check still proves the structural claim). *)
 let run_hotpath () =
   print_endline "";
   print_endline "hotpath (no-conflict WAL-off transactions, lock-free fast path):";
@@ -676,37 +675,20 @@ let run_hotpath () =
     "  8-domain private, %d of %d paired slices: %.2f us/txn lock-free vs %.2f us/txn \
      forced-mutex (%.2fx); private-8d took %d mutex acquisitions\n"
     keep slices (us t_fast) (us t_slow) speedup locks;
-  if Sys.getenv_opt "HOTPATH_BASELINE" = Some "1" then
-    print_endline "hotpath assertions: skipped (HOTPATH_BASELINE=1)"
-  else begin
-    if locks <> 0 then begin
-      Format.eprintf
-        "FAIL: uncontended txn path took %d mutex acquisitions (obj %d, mgr %d, \
-         registry %d) — expected 0@."
-        locks fast.Sim.Hotpath.h_locks.Runtime.Lockstat.s_obj
-        fast.Sim.Hotpath.h_locks.Runtime.Lockstat.s_mgr
-        fast.Sim.Hotpath.h_locks.Runtime.Lockstat.s_registry;
-      exit 1
-    end;
-    Printf.printf "hotpath assertion: uncontended path mutex acquisitions = 0: OK\n";
-    let cores =
-      match Sys.getenv_opt "HOTPATH_MIN_SPEEDUP" with
-      | Some _ -> max_int (* explicit threshold: trust it regardless of cores *)
-      | None -> Domain.recommended_domain_count ()
-    in
-    let min_speedup =
-      match Sys.getenv_opt "HOTPATH_MIN_SPEEDUP" with
-      | Some s -> float_of_string s
-      | None -> if cores >= 4 then 2.0 else 1.0
-    in
-    if speedup < min_speedup then begin
-      Format.eprintf "FAIL: lock-free speedup %.2fx < required %.2fx@." speedup
-        min_speedup;
-      exit 1
-    end;
-    Printf.printf "hotpath assertion: lock-free speedup %.2fx >= %.2fx: OK\n" speedup
-      min_speedup
-  end
+  if locks <> 0 then begin
+    Format.eprintf
+      "FAIL: uncontended txn path took %d mutex acquisitions (obj %d, mgr %d) — expected 0@."
+      locks fast.Sim.Hotpath.h_locks.Runtime.Lockstat.s_obj
+      fast.Sim.Hotpath.h_locks.Runtime.Lockstat.s_mgr;
+    exit 1
+  end;
+  Printf.printf "hotpath assertion: uncontended path mutex acquisitions = 0: OK\n";
+  let min_speedup = if Domain.recommended_domain_count () >= 4 then 2.0 else 1.0 in
+  if speedup < min_speedup then begin
+    Format.eprintf "FAIL: lock-free speedup %.2fx < required %.2fx@." speedup min_speedup;
+    exit 1
+  end;
+  Printf.printf "hotpath assertion: lock-free speedup %.2fx >= %.2fx: OK\n" speedup min_speedup
 
 let () =
   (* `--group-commit-only` / `--shard-scaling-only` /

@@ -215,10 +215,12 @@ let two_phase t ctx parts =
 (* One attempt of [body].  [priority] is the first attempt's priority
    for a restart.  With [anchor], an aborted attempt anchors its
    transaction before any branch's abort is delivered (see
-   Manager.run). *)
+   Manager.run).  The attempt holds its id's registry entry while the
+   body runs, so every branch joins it, and drops the hold before any
+   branch completes: losers woken by a release must find it gone. *)
 let attempt_once ~anchor ?priority t body =
   Atomic.incr t.attempts;
-  let gid = Txn_rt.fresh_id () in
+  let gid = Txn_rt.fresh_id ?priority () in
   let ctx =
     match priority with
     | None -> { coord = t; gid; prio = gid; restart = false; branches = [] }
@@ -237,12 +239,15 @@ let attempt_once ~anchor ?priority t body =
   match body ctx with
   | exception Txn_rt.Abort_requested reason ->
     if anchor then Txn_rt.anchor ~priority:ctx.prio;
+    Txn_rt.release_id gid;
     abort_all ();
     Error (reason, ctx.prio)
   | exception e ->
+    Txn_rt.release_id gid;
     abort_all ();
     raise e
   | v -> (
+    Txn_rt.release_id gid;
     t.on_step Executed;
     (* Branches that recorded nothing have nothing to prepare or redo;
        they just release their handle (and their share of the id). *)

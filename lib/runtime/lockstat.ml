@@ -4,8 +4,9 @@
    lock-free priority registry) claims the no-conflict transaction path
    takes no mutex at all.  That claim is only checkable if every mutex
    acquisition that remains — Atomic_obj's ordered (trace/WAL/record)
-   sections and exclusive publishes after repeated lost CASes, Manager's WAL-ordering section and
-   inflight overflow, Txn_rt's registry overflow — counts itself here.  The bench gate
+   sections and exclusive publishes after repeated lost CASes,
+   Manager's WAL-ordering section and inflight overflow — counts itself
+   here (Txn_rt's priority registry owns no mutex).  The bench gate
    (`--hotpath-only`) then asserts the delta across a no-conflict
    WAL-off workload is exactly zero.
 
@@ -16,29 +17,18 @@
 
 let obj_locks = Atomic.make 0
 let mgr_locks = Atomic.make 0
-let registry_locks = Atomic.make 0
 
 let count_obj () = Atomic.incr obj_locks
 let count_mgr () = Atomic.incr mgr_locks
-let count_registry () = Atomic.incr registry_locks
 
-type snapshot = { s_obj : int; s_mgr : int; s_registry : int }
+type snapshot = { s_obj : int; s_mgr : int }
 
-let snapshot () =
-  {
-    s_obj = Atomic.get obj_locks;
-    s_mgr = Atomic.get mgr_locks;
-    s_registry = Atomic.get registry_locks;
-  }
+let snapshot () = { s_obj = Atomic.get obj_locks; s_mgr = Atomic.get mgr_locks }
 
 let diff ~before ~after =
-  {
-    s_obj = after.s_obj - before.s_obj;
-    s_mgr = after.s_mgr - before.s_mgr;
-    s_registry = after.s_registry - before.s_registry;
-  }
+  { s_obj = after.s_obj - before.s_obj; s_mgr = after.s_mgr - before.s_mgr }
 
-let total s = s.s_obj + s.s_mgr + s.s_registry
+let total s = s.s_obj + s.s_mgr
 
 (* Baseline mode for apples-to-apples measurement: when set, the
    runtime routes every operation through the pre-rework mutex paths

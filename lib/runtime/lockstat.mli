@@ -3,17 +3,16 @@
     Every remaining mutex acquisition in the runtime's transaction path
     self-reports here ({!count_obj} in {!Atomic_obj}'s ordered sections
     and exclusive publishes after repeated lost CASes,
-    {!count_mgr} in {!Manager}'s WAL/overflow sections, {!count_registry}
-    in {!Txn_rt}'s registry overflow), so the bench gate can assert that
+    {!count_mgr} in {!Manager}'s WAL/overflow sections; {!Txn_rt}'s
+    priority registry owns no mutex), so the bench gate can assert that
     a no-conflict WAL-off workload takes {e zero} mutexes end to end.
     Plain process-wide atomics, independent of the {!Obs.Control}
     switch (the gate runs with observability off). *)
 
 val count_obj : unit -> unit
 val count_mgr : unit -> unit
-val count_registry : unit -> unit
 
-type snapshot = { s_obj : int; s_mgr : int; s_registry : int }
+type snapshot = { s_obj : int; s_mgr : int }
 
 val snapshot : unit -> snapshot
 val diff : before:snapshot -> after:snapshot -> snapshot

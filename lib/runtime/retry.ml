@@ -100,7 +100,7 @@ let refused ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt failure =
      that observed the conflict.  Resolving here instead — by id against
      the live registry, as this loop used to — raced the holder's
      completion: an id recycled between the refusal and the lookup
-     (coordinators re-register explicit ids) resolves to an unrelated
+     ([Txn_rt.fresh ~id] can register an id again) resolves to an unrelated
      transaction's priority and kills or spares the wrong victim.
      [holder_priority = None] means the holder completed before the
      capture — the retry will likely succeed, so wait. *)

@@ -25,8 +25,8 @@ type conflict = {
           the same consistent section that observed the conflict} —
           [None] when the holder completed before the capture.  Wait-die
           decisions use this captured value, never a later registry
-          lookup by id: holder ids can be recycled (coordinators
-          re-register explicit ids) between refusal and lookup, and a
+          lookup by id: holder ids can be recycled ([Txn_rt.fresh ~id]
+          can register an id again) between refusal and lookup, and a
           recycled id resolves to the wrong transaction's priority. *)
 }
 

@@ -33,27 +33,25 @@ let fresh_object_key () = Atomic.fetch_and_add object_key_counter 1
    shard branches of one global transaction share its id, and the id
    must stay resolvable until the {e last} branch completes — wait-die
    reads [None] as "holder finished", which would be wrong while a
-   sibling branch still holds locks.
+   sibling branch still holds locks.  A coordinator holds its id's
+   entry from the draw until its body ends, so the branches join an
+   entry and never create one.
 
    Lock-free: registration/deregistration runs on {e every} transaction,
    so a mutex here would put one lock on the otherwise mutex-free hot
-   path (see Lockstat).  Entries live in a fixed array of atomics
-   indexed by [id mod cap]; the cells hold immutable tuples, so
-   compare-and-set on physical equality suffices (a fresh allocation per
-   update rules out ABA).  Ids come from one monotone counter, so two
-   {e live} ids only collide in a cell when more than [cap] transactions
-   are simultaneously live (or a coordinator holds an old [~id] across
-   that many draws) — that rare loser takes the mutex-guarded overflow
-   table.  [overflow_count] is maintained so lookups skip the table —
-   and its lock — entirely when it is empty.
+   path (see Lockstat).  Entries live in a fixed array of atomics; the
+   cells hold immutable records, so compare-and-set on physical
+   equality suffices (a fresh allocation per update rules out ABA).  A
+   cell holds one id at a time: a draw claims its id's cell, and skips
+   the id when another live id holds it.  Ids still come from one
+   growing counter, so priorities follow the order of first attempts.
 
    The cells' atomics are allocated in index order, several to a cache
    line, so the cell of an id is a permutation of [id mod cap] that
    moves its low [spread_bits] bits to the top: consecutive ids — the
    live transactions of different domains — sit [cap lsr spread_bits]
    cells apart, and registering one does not write the line another
-   domain is writing.  Two ids still share a cell exactly when they are
-   congruent mod [cap]. *)
+   domain is writing. *)
 let cap = 8192 (* power of two *)
 let spread_bits = 3
 
@@ -61,63 +59,66 @@ let cell_index id =
   let stride = cap lsr spread_bits in
   ((id land ((1 lsl spread_bits) - 1)) * stride) lor ((id lsr spread_bits) land (stride - 1))
 
-type entry = { e_id : int; e_priority : int; e_refs : int }
+(* [e_refs] counts live handles plus a coordinator's hold; [e_anchored]
+   keeps the entry after its last handle, without making the id
+   resolve. *)
+type entry = { e_id : int; e_priority : int; e_refs : int; e_anchored : bool }
 
-let cells : entry option Atomic.t array = Array.init cap (fun _ -> Atomic.make None)
-let overflow_mutex = Mutex.create ()
-let overflow : (int, int * int) Hashtbl.t = Hashtbl.create 8 (* id -> (priority, refs) *)
-let overflow_count = Atomic.make 0
+let free = { e_id = -1; e_priority = 0; e_refs = 0; e_anchored = false } (* drawn ids are never negative *)
+let cells = Array.init cap (fun _ -> Atomic.make free)
 
-let with_overflow f =
-  Lockstat.count_registry ();
-  Mutex.lock overflow_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock overflow_mutex) f
+exception Registry_full
 
-let overflow_register id priority =
-  with_overflow (fun () ->
-      match Hashtbl.find_opt overflow id with
-      | Some (p, refs) -> Hashtbl.replace overflow id (p, refs + 1)
-      | None ->
-        Atomic.incr overflow_count;
-        Hashtbl.replace overflow id (priority, 1))
+(* Draw ids until one's cell is free and claim it.  [cap] consecutive
+   ids cover every cell once, so [cap] misses mean every cell was found
+   held. *)
+let rec claim priority misses =
+  if misses = cap then raise Registry_full;
+  let id = Atomic.fetch_and_add counter 1 in
+  let cell = cells.(cell_index id) in
+  if Atomic.get cell != free then claim priority (misses + 1)
+  else
+    let p = Option.value priority ~default:id in
+    let e = { e_id = id; e_priority = p; e_refs = 1; e_anchored = false } in
+    if Atomic.compare_and_set cell free e then e else claim priority (misses + 1)
 
-let rec cell_register cell id priority =
+(* Replace [id]'s entry by [f] of it ([f free] when the cell is free)
+   in one CAS, and return what the cell then holds: another id's entry,
+   untouched, when that id holds the cell. *)
+let rec update id f =
+  let cell = cells.(cell_index id) in
   let cur = Atomic.get cell in
-  match cur with
-  | None ->
-    if Atomic.compare_and_set cell cur (Some { e_id = id; e_priority = priority; e_refs = 1 })
-    then ()
-    else cell_register cell id priority
-  | Some e when e.e_id = id ->
-    (* A sibling branch of the same global transaction: bump the
-       refcount, keep the first registration's priority (the branches
-       share one seniority). *)
-    if Atomic.compare_and_set cell cur (Some { e with e_refs = e.e_refs + 1 }) then ()
-    else cell_register cell id priority
-  | Some _ -> overflow_register id priority
+  if cur != free && cur.e_id <> id then cur
+  else
+    let next = f cur in
+    if Atomic.compare_and_set cell cur next then next else update id f
 
-let register_id id priority =
-  (* A shared id must refcount in one place: if an earlier branch was
-     pushed to the overflow table (its cell was occupied by another
-     live transaction), later branches must join it there even if the
-     cell has since freed up. *)
-  let in_overflow =
-    Atomic.get overflow_count > 0
-    && with_overflow (fun () ->
-           match Hashtbl.find_opt overflow id with
-           | Some (p, refs) ->
-             Hashtbl.replace overflow id (p, refs + 1);
-             true
-           | None -> false)
+let join id priority =
+  let e =
+    update id (fun e ->
+        if e == free then { e_id = id; e_priority = priority; e_refs = 1; e_anchored = false }
+        else { e with e_refs = e.e_refs + 1 })
   in
-  if not in_overflow then cell_register cells.(cell_index id) id priority
+  if e.e_id <> id then invalid_arg "Txn_rt.fresh: another live id holds this id's registry cell";
+  e
 
-let fresh_id () = Atomic.fetch_and_add counter 1
+(* [e] with [refs] holds and [anchored]: the cell frees once the entry
+   holds neither. *)
+let settle e refs anchored =
+  if refs = 0 && not anchored then free else { e with e_refs = refs; e_anchored = anchored }
+
+let release_id id =
+  ignore (update id (fun e -> if e == free then free else settle e (e.e_refs - 1) e.e_anchored))
+
+let fresh_id ?priority () = (claim priority 0).e_id
 
 let make ~releases_anchor ?id ?priority () =
-  let id = match id with Some id -> id | None -> fresh_id () in
-  let priority = Option.value ~default:id priority in
-  register_id id priority;
+  let e =
+    match id with
+    | None -> claim priority 0
+    | Some id -> join id (Option.value ~default:id priority)
+  in
+  let id = e.e_id and priority = e.e_priority in
   { id; priority; model = Model.Txn.make id; state = Atomic.make (Active []); releases_anchor }
 
 let fresh ?id ?priority () = make ~releases_anchor:false ?id ?priority ()
@@ -127,11 +128,8 @@ let id t = t.id
 let priority t = t.priority
 
 let priority_of_id id =
-  match Atomic.get cells.(cell_index id) with
-  | Some e when e.e_id = id -> Some e.e_priority
-  | Some _ | None ->
-    if Atomic.get overflow_count = 0 then None
-    else with_overflow (fun () -> Option.map fst (Hashtbl.find_opt overflow id))
+  let e = Atomic.get cells.(cell_index id) in
+  if e.e_id = id && e.e_refs > 0 then Some e.e_priority else None
 
 let model_txn t = t.model
 
@@ -157,45 +155,30 @@ let rec add_participant t ~key p =
 let participant_count t =
   match Atomic.get t.state with Active ps -> List.length ps | _ -> 0
 
-let rec cell_deregister cell id =
-  let cur = Atomic.get cell in
-  match cur with
-  | Some e when e.e_id = id ->
-    let next = if e.e_refs > 1 then Some { e with e_refs = e.e_refs - 1 } else None in
-    if Atomic.compare_and_set cell cur next then () else cell_deregister cell id
-  | Some _ | None ->
-    (* Not (or no longer) in the cell: this registration lives in the
-       overflow table. *)
-    if Atomic.get overflow_count > 0 then
-      with_overflow (fun () ->
-          match Hashtbl.find_opt overflow id with
-          | Some (p, refs) when refs > 1 -> Hashtbl.replace overflow id (p, refs - 1)
-          | Some _ ->
-            Hashtbl.remove overflow id;
-            Atomic.decr overflow_count
-          | None -> ())
+(* An anchor is a flag on the entry of the transaction's first attempt,
+   whose id is the transaction's priority: the transaction stays live
+   between one attempt's abort and the next attempt's commit, while the
+   dead attempt's id resolves to nothing.  An attempt aborted from
+   another domain has left already; its anchor takes the cell again. *)
+let anchor ~priority =
+  ignore
+    (update priority (fun e ->
+         if e == free then { e_id = priority; e_priority = priority; e_refs = 0; e_anchored = true }
+         else { e with e_anchored = true }))
 
-let deregister t = cell_deregister cells.(cell_index t.id) t.id
-
-(* An anchor is a registration with no attempt behind it, under
-   [lnot priority]: ids are drawn from [0, max_int], so no attempt ever
-   has that id, and the registry's cells stay as dense as without
-   anchors.  It keeps the transaction live between one attempt's abort
-   and the next attempt's commit. *)
-let anchor_id priority = lnot priority
-let anchor ~priority = register_id (anchor_id priority) priority
-let anchored ~priority = priority_of_id (anchor_id priority) <> None
+let anchored ~priority =
+  let e = Atomic.get cells.(cell_index priority) in
+  e.e_id = priority && e.e_anchored
 
 let release_anchor ~priority =
-  let id = anchor_id priority in
-  cell_deregister cells.(cell_index id) id
+  ignore (update priority (fun e -> if e == free then free else settle e e.e_refs false))
 
 (* Oldest participant first, matching touch order. *)
 let rec commit t ts =
   match Atomic.get t.state with
   | Active ps as cur ->
     if Atomic.compare_and_set t.state cur (Committed ts) then begin
-      deregister t;
+      release_id t.id;
       (* Before any participant: an object's release wakes the
          transactions that lost to this one, and they must find it
          gone. *)
@@ -209,7 +192,7 @@ let rec abort t =
   match Atomic.get t.state with
   | Active ps as cur ->
     if Atomic.compare_and_set t.state cur Aborted then begin
-      deregister t;
+      release_id t.id;
       List.iter (fun (_, p) -> p.on_abort ()) (List.rev ps)
     end
     else abort t

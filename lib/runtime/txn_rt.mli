@@ -37,13 +37,24 @@ val fresh : ?id:int -> ?priority:int -> unit -> t
     [id] lets a distributed coordinator give every shard branch of one
     global transaction the {e same} id (drawn once with {!fresh_id}):
     per-shard traces then stitch by transaction id, and wait-die treats
-    all branches as one transaction.  The priority registry refcounts
-    shared ids — an id resolves until its last branch completes. *)
+    all branches as one transaction.  Such a handle joins the id's
+    registry entry and takes its priority; the id resolves until its
+    last holder completes.  An [id] with no entry gets one, and
+    [Invalid_argument] if another live id holds its registry cell. *)
 
-val fresh_id : unit -> int
-(** Draw a process-unique transaction id without creating a handle —
-    the global transaction id a coordinator passes to each branch's
-    [fresh ~id]. *)
+exception Registry_full
+(** Raised by a draw ({!fresh} or {!restart} without [id], {!fresh_id})
+    when all 8192 registry cells are held: a handle, a {!fresh_id} hold
+    or an anchor keeps its id's cell. *)
+
+val fresh_id : ?priority:int -> unit -> int
+(** Draw an id without a handle — the global id a coordinator passes to
+    each branch's [fresh ~id] — and hold its registry entry, with
+    [priority] (default: the id), until {!release_id}. *)
+
+val release_id : int -> unit
+(** Drop {!fresh_id}'s hold; the id resolves while a handle made with
+    it is live. *)
 
 (** {2 Anchors}
 
@@ -54,8 +65,9 @@ val fresh_id : unit -> int
     {!restart}. *)
 
 val anchor : priority:int -> unit
-(** Register the transaction with [priority] in the registry, under an
-    id no attempt draws, so {!anchored} holds until {!release_anchor}.
+(** Flag the registry entry of the transaction's first attempt, whose
+    id is [priority]: {!anchored} holds until {!release_anchor}, and
+    {!priority_of_id} still reads the attempt as gone once it completes.
     Call it before the aborting attempt's abort reaches any object. *)
 
 val anchored : priority:int -> bool
@@ -81,16 +93,6 @@ val priority_of_id : int -> int option
 (** Look up the priority of a live (active) transaction by id; [None]
     once it completes.  Used by objects to apply wait-die against a lock
     holder they only know by id. *)
-
-val cap : int
-(** Cells of the lock-free priority registry: at most this many live ids
-    resolve without a lock, and two live ids share a cell (the later one
-    takes a mutex-guarded overflow table) exactly when they are
-    congruent mod [cap]. *)
-
-val cell_index : int -> int
-(** The registry cell of an id: a bijection on [id mod cap] that puts
-    consecutive ids on different cache lines. *)
 
 val model_txn : t -> Model.Txn.t
 (** The handle as a formal-model transaction (for history recording). *)

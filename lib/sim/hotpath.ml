@@ -31,13 +31,13 @@ type row = {
 }
 
 let pp_header ppf () =
-  Format.fprintf ppf "%-22s %7s %9s %10s %8s %9s %9s %9s@." "workload" "domains"
-    "committed" "txn/s" "us/txn" "obj-mtx" "mgr-mtx" "reg-mtx"
+  Format.fprintf ppf "%-22s %7s %9s %10s %8s %9s %9s@." "workload" "domains" "committed"
+    "txn/s" "us/txn" "obj-mtx" "mgr-mtx"
 
 let pp_row ppf r =
-  Format.fprintf ppf "%-22s %7d %9d %10.0f %8.2f %9d %9d %9d@." r.h_label r.h_domains
+  Format.fprintf ppf "%-22s %7d %9d %10.0f %8.2f %9d %9d@." r.h_label r.h_domains
     r.h_committed r.h_throughput r.h_us_per_txn r.h_locks.Runtime.Lockstat.s_obj
-    r.h_locks.Runtime.Lockstat.s_mgr r.h_locks.Runtime.Lockstat.s_registry
+    r.h_locks.Runtime.Lockstat.s_mgr
 
 module O = Runtime.Atomic_obj.Make (Adt.Counter)
 

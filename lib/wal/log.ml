@@ -195,7 +195,12 @@ let m_bytes = Obs.Metrics.counter "wal.bytes"
 let m_fsyncs = Obs.Metrics.counter "wal.fsyncs"
 let m_checkpoints = Obs.Metrics.counter "wal.checkpoints"
 let m_rewrites = Obs.Metrics.counter "wal.rewrites"
-let h_fsync = Obs.Metrics.histogram "wal.fsync_latency"
+
+(* Ten buckets a decade, 10 us to 100 ms: the default ones are too coarse
+   to resolve an fsync's p50 and p99. *)
+let h_fsync =
+  let bounds = Array.init 41 (fun k -> 10. ** ((float k /. 10.) -. 5.)) in
+  Obs.Metrics.histogram ~bounds "wal.fsync_latency"
 
 (* Whole rewrites (temp file, its fsync, rename, directory fsync):
    their fsyncs are not durability rounds, so they show here

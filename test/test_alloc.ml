@@ -51,7 +51,7 @@ let () =
     [
       ( "ceiling",
         [
-          Alcotest.test_case "3-op account transaction" `Quick (check_ceiling three_ops 339);
-          Alcotest.test_case "8-op account transaction" `Quick (check_ceiling eight_ops 629);
+          Alcotest.test_case "3-op account transaction" `Quick (check_ceiling three_ops 338);
+          Alcotest.test_case "8-op account transaction" `Quick (check_ceiling eight_ops 628);
         ] );
     ]

@@ -65,12 +65,17 @@ let test_default_stripe_dense () =
 (* ---------------- shared-id refcounting ---------------- *)
 
 let test_shared_id_refcount () =
-  let gid = Runtime.Txn_rt.fresh_id () in
-  let b0 = Runtime.Txn_rt.fresh ~id:gid ~priority:3 () in
+  let gid = Runtime.Txn_rt.fresh_id ~priority:3 () in
+  let b0 = Runtime.Txn_rt.fresh ~id:gid () in
   let b1 = Runtime.Txn_rt.fresh ~id:gid ~priority:99 () in
   Alcotest.(check int) "both branches share the id" gid (Runtime.Txn_rt.id b1);
   Alcotest.(check (option int))
-    "the first registration's priority wins" (Some 3)
+    "the id's claim sets the priority" (Some 3)
+    (Runtime.Txn_rt.priority_of_id gid);
+  Alcotest.(check int) "a branch takes the id's priority" 3 (Runtime.Txn_rt.priority b1);
+  Runtime.Txn_rt.release_id gid;
+  Alcotest.(check (option int))
+    "id still resolves after the claim is dropped" (Some 3)
     (Runtime.Txn_rt.priority_of_id gid);
   Runtime.Txn_rt.abort b0;
   Alcotest.(check (option int))

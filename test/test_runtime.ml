@@ -463,23 +463,109 @@ let test_senior_cleared_when_blocked () =
   ignore (Runtime.Manager.commit_txn mgr t_old : int);
   check_bool "queue empty" true (QObj.committed_states q = [ [] ])
 
-(* The priority registry's cell map is a bijection on [0, cap), so two
-   ids share a cell exactly when they are congruent mod [cap], and it
-   puts consecutive ids — two domains' live transactions — at least 8
-   cells (two 64-byte cache lines of 16-byte atomics) apart. *)
+(* ---------------- the priority registry ---------------- *)
+
+(* The live-id limit txn_rt.mli documents: one registry cell per live
+   id.  These tests need every cell free when they start, so they run
+   before any test that may leave a handle live. *)
+let registry_cap = 8192
+
+(* The cell map is a bijection on ids mod [registry_cap]: with one id
+   live, the next 8191 ids all register at once, and the 8192nd after
+   it shares its cell. *)
 let test_registry_cell_map () =
   let module T = Runtime.Txn_rt in
-  let owner = Array.make T.cap (-1) in
-  for id = 0 to T.cap - 1 do
-    let c = T.cell_index id in
-    if c < 0 || c >= T.cap then Alcotest.failf "id %d: cell %d out of range" id c;
-    if owner.(c) >= 0 then Alcotest.failf "ids %d and %d share cell %d" owner.(c) id c;
-    owner.(c) <- id;
-    if T.cell_index (id + T.cap) <> c then Alcotest.failf "id %d + cap leaves cell %d" id c;
-    if id > 0 && abs (c - T.cell_index (id - 1)) < 8 then
-      Alcotest.failf "ids %d and %d are %d cells apart" (id - 1) id (abs (c - T.cell_index (id - 1)))
+  let first = T.fresh () in
+  let a = T.id first in
+  let live = first :: List.init (registry_cap - 1) (fun k -> T.fresh ~id:(a + 1 + k) ()) in
+  Alcotest.check_raises "an id congruent to a live one shares its cell"
+    (Invalid_argument "Txn_rt.fresh: another live id holds this id's registry cell")
+    (fun () -> ignore (T.fresh ~id:(a + registry_cap) () : T.t));
+  check_bool "every id resolves to its own priority" true
+    (List.for_all (fun t -> T.priority_of_id (T.id t) = Some (T.id t)) live);
+  List.iter T.abort live
+
+(* A draw that lands on a live id's cell skips it without a lock: with
+   one handle held, 8192 more are drawn and completed, and the 8192nd
+   draw is the first to reach the held id's cell. *)
+let test_registry_draws_past_live_id () =
+  let module T = Runtime.Txn_rt in
+  let held = T.fresh () in
+  let before = Runtime.Lockstat.snapshot () in
+  for _ = 1 to registry_cap do
+    let t = T.fresh () in
+    let own t = T.priority_of_id (T.id t) = Some (T.id t) in
+    if not (own t && own held) then
+      Alcotest.failf "ids %d and %d do not resolve to their own priorities" (T.id held) (T.id t);
+    T.abort t
   done;
-  check_bool "every cell owned" true (Array.for_all (fun id -> id >= 0) owner)
+  let locks = Runtime.Lockstat.(total (diff ~before ~after:(snapshot ()))) in
+  check_int "mutex acquisitions" 0 locks;
+  T.abort held
+
+(* With every cell held a draw raises; once one handle completes, a
+   draw succeeds again. *)
+let test_registry_limit () =
+  let module T = Runtime.Txn_rt in
+  let held = List.init registry_cap (fun _ -> T.fresh ()) in
+  Alcotest.check_raises "fresh with every cell held" T.Registry_full (fun () ->
+      ignore (T.fresh () : T.t));
+  Alcotest.check_raises "fresh_id with every cell held" T.Registry_full (fun () ->
+      ignore (T.fresh_id () : int));
+  T.abort (List.hd held);
+  let t = T.fresh () in
+  check_bool "a draw after one completes" true (T.priority_of_id (T.id t) = Some (T.id t));
+  List.iter T.abort (t :: List.tl held)
+
+(* Every way a [Manager.run] or [Coordinator.run] body can end gives
+   back every registry cell it took: after a body that restarts and
+   commits, one that raises, one that restarts and then raises, and one
+   that touches nothing, under each, all [registry_cap] cells can be
+   held at once.  [touch] invokes the transaction's objects. *)
+let ending_bodies =
+  [
+    (fun ~touch attempt ->
+      touch 1;
+      if attempt = 1 then Runtime.Manager.abort_in ());
+    (fun ~touch _ ->
+      touch 2;
+      failwith "body raised");
+    (fun ~touch attempt ->
+      touch 3;
+      if attempt = 1 then Runtime.Manager.abort_in () else failwith "restart raised");
+    (fun ~touch:_ _ -> ());
+  ]
+
+let run_each_ending run =
+  List.iter
+    (fun body ->
+      let attempt = ref 0 in
+      try
+        run (fun touch ->
+            incr attempt;
+            body ~touch !attempt)
+      with Failure _ -> ())
+    ending_bodies
+
+let test_registry_no_leak_after_runs () =
+  let module T = Runtime.Txn_rt in
+  let enq q txn v = ignore (QObj.invoke q txn (Q.Enq v) : Q.res) in
+  let mgr = Runtime.Manager.create () in
+  let q = QObj.create ~conflict:Q.conflict_rw () in
+  run_each_ending (fun f -> Runtime.Manager.run mgr (fun txn -> f (enq q txn)));
+  let router = Dist.Router.make ~count:2 () in
+  let coord = Dist.Coordinator.create router in
+  let branches =
+    List.init 2 (fun i -> (Dist.Router.shard router i, QObj.create ~conflict:Q.conflict_rw ()))
+  in
+  run_each_ending (fun f ->
+      Dist.Coordinator.run coord (fun ctx ->
+          f (fun v ->
+              List.iter (fun (shard, q) -> enq q (Dist.Coordinator.branch ctx shard) v) branches)));
+  Dist.Router.close router;
+  match List.init registry_cap (fun _ -> T.fresh ()) with
+  | held -> List.iter T.abort held
+  | exception T.Registry_full -> Alcotest.fail "a run left a registry cell held"
 
 let () =
   Alcotest.run "runtime"
@@ -490,6 +576,14 @@ let () =
           Alcotest.test_case "abort" `Quick test_txn_abort;
           Alcotest.test_case "priority inheritance" `Quick test_txn_priority_inheritance;
           Alcotest.test_case "registry cell map" `Quick test_registry_cell_map;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "draws past a live id take no lock" `Quick
+            test_registry_draws_past_live_id;
+          Alcotest.test_case "every cell held" `Quick test_registry_limit;
+          Alcotest.test_case "no cell left after run bodies" `Quick
+            test_registry_no_leak_after_runs;
         ] );
       ( "manager",
         [
