@@ -4,9 +4,9 @@
    lock-free priority registry) claims the no-conflict transaction path
    takes no mutex at all.  That claim is only checkable if every mutex
    acquisition that remains — Atomic_obj's ordered (trace/WAL/record)
-   sections and exclusive publishes after repeated lost CASes,
-   Manager's WAL-ordering section and inflight overflow — counts itself
-   here (Txn_rt's priority registry owns no mutex).  The bench gate
+   sections and exclusive publishes after repeated lost CASes, and
+   Manager's WAL-ordering section, its only mutex — counts itself here
+   (Txn_rt's priority registry owns no mutex).  The bench gate
    (`--hotpath-only`) then asserts the delta across a no-conflict
    WAL-off workload is exactly zero.
 

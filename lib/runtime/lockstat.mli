@@ -3,7 +3,7 @@
     Every remaining mutex acquisition in the runtime's transaction path
     self-reports here ({!count_obj} in {!Atomic_obj}'s ordered sections
     and exclusive publishes after repeated lost CASes,
-    {!count_mgr} in {!Manager}'s WAL/overflow sections; {!Txn_rt}'s
+    {!count_mgr} in {!Manager}'s WAL section; {!Txn_rt}'s
     priority registry owns no mutex), so the bench gate can assert that
     a no-conflict WAL-off workload takes {e zero} mutexes end to end.
     Plain process-wide atomics, independent of the {!Obs.Control}

@@ -18,20 +18,24 @@ type outcome_stats = { started : int; committed : int; aborted : int }
    shards, now without a mutex.
 
    The in-flight set (timestamps drawn, commit not yet fully
-   distributed) is a fixed array of per-domain-ish slots: a committer
-   CAS-claims an empty slot (sentinel -1), draws, and publishes the
-   timestamp with a plain atomic store; retiring stores 0.  Claim
-   happens {e before} the draw, so [stable_time] — which reads the
-   allocation state first and then scans the slots, re-scanning while
-   any claim is unresolved — can never miss a drawn-but-undistributed
-   commit: a pin it did not see belongs to a draw that started after the
-   scan read the allocation state, and such a draw's timestamp exceeds
-   the value returned.  If all slots are taken (more simultaneous
-   committers than slots) the loser takes a mutex-guarded overflow list;
-   the claim pushes the same [claiming] sentinel into the list {e
-   before} drawing (replaced by the timestamp at publish), so an
-   unresolved overflow claim is exactly as visible to the scan as an
-   unresolved slot claim.
+   distributed) is a linked list of 64-cell segments.  A committer
+   CAS-claims an empty cell (0 -> [claiming] = -1), probing from a
+   per-domain offset, then draws, then publishes the timestamp with a
+   plain atomic store; retiring stores 0.  The claimed cell {e is} the
+   pin.  When every cell of every segment is taken, the claimer makes a
+   new segment whose cell 0 is already [claiming] and links it with a
+   CAS on the last segment's [next] (losing that CAS, it probes the
+   segment that won).  Segments are never unlinked: the set's memory is
+   bounded by the peak number of concurrent pins, and there is no pin
+   limit.
+
+   Claim happens {e before} the draw, so [stable_time] — which reads the
+   allocation state first and then scans every segment, reading each
+   segment's [next] after its cells and re-scanning while any claim is
+   unresolved — can never miss a drawn-but-undistributed commit: a pin
+   it did not see was claimed (or its segment linked) after the scan
+   read the allocation state, so its draw started later, and such a
+   draw's timestamp exceeds the value returned.
 
    A draw additionally re-validates [observed] {e after} its
    fetch-and-add: a drawer stalled between its pre-draw [observed] read
@@ -45,9 +49,12 @@ type outcome_stats = { started : int; committed : int; aborted : int }
    Wal tests rely on it), which a free-running fetch-and-add cannot
    provide.  That serializes only durable configurations — the WAL-off
    hot path ROADMAP item 2 targets stays mutex-free end to end (the
-   bench gate counts; see Lockstat). *)
+   bench gate counts; see Lockstat).  It is the manager's only mutex. *)
 
-type pin = Slot of int | Overflow
+(* 0 empty, [claiming], else an in-flight timestamp. *)
+type pin = int Atomic.t
+
+type segment = { cells : pin array; next : segment option Atomic.t }
 
 type t = {
   stripe_index : int; (* this manager draws ts ≡ stripe_index (mod stripe_count) *)
@@ -55,10 +62,7 @@ type t = {
   base : int;
   draws : int Atomic.t; (* local draws so far; k-th draw has ts_of k *)
   observed : int Atomic.t; (* largest adopted foreign timestamp (0 = none) *)
-  slots : int Atomic.t array; (* 0 empty, -1 claiming, else an in-flight ts *)
-  overflow_mutex : Mutex.t;
-  mutable overflow : int list;
-  overflow_count : int Atomic.t;
+  inflight : segment; (* the first segment of the in-flight set *)
   wal_mutex : Mutex.t; (* draw+append section for WAL configurations *)
   attempts : int Atomic.t;
   commits : int Atomic.t;
@@ -74,8 +78,11 @@ let m_aborts = Obs.Metrics.counter "txn.aborts"
 let m_durability_lost = Obs.Metrics.counter "txn.durability_lost"
 let h_attempt = Obs.Metrics.histogram "txn.attempt_latency"
 
-let n_inflight_slots = 64 (* power of two *)
+let segment_cells = 64 (* power of two *)
 let claiming = -1
+
+let new_segment () =
+  { cells = Array.init segment_cells (fun _ -> Atomic.make 0); next = Atomic.make None }
 
 let create ?wal ?(stripe = (0, 1)) () =
   let stripe_index, stripe_count = stripe in
@@ -87,10 +94,7 @@ let create ?wal ?(stripe = (0, 1)) () =
     base = (if stripe_index = 0 then 0 else stripe_index - stripe_count);
     draws = Atomic.make 0;
     observed = Atomic.make 0;
-    slots = Array.init n_inflight_slots (fun _ -> Atomic.make 0);
-    overflow_mutex = Mutex.create ();
-    overflow = [];
-    overflow_count = Atomic.make 0;
+    inflight = new_segment ();
     wal_mutex = Mutex.create ();
     attempts = Atomic.make 0;
     commits = Atomic.make 0;
@@ -103,11 +107,6 @@ let wal t = t.wal
 let ts_of t k = t.base + (k * t.stripe_count)
 let last_issued t = match Atomic.get t.draws with 0 -> 0 | k -> ts_of t k
 let current_time t = max (last_issued t) (Atomic.get t.observed)
-
-let with_overflow t f =
-  Lockstat.count_mgr ();
-  Mutex.lock t.overflow_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.overflow_mutex) f
 
 (* The smallest draw count whose successor's timestamp exceeds
    [observed]: base + (need+1)*stripe_count > observed. *)
@@ -160,87 +159,66 @@ let rec observe t ts =
 
 (* ---- the in-flight set ---- *)
 
-let try_claim_slot t =
-  (* Start probing at a per-domain offset so concurrent committers land
-     on distinct slots without coordination. *)
-  let start = (Domain.self () :> int) * 13 land (n_inflight_slots - 1) in
-  let rec go i =
-    if i >= n_inflight_slots then None
-    else
-      let idx = (start + i) land (n_inflight_slots - 1) in
-      let s = t.slots.(idx) in
-      if Atomic.get s = 0 && Atomic.compare_and_set s 0 claiming then Some idx
-      else go (i + 1)
-  in
-  go 0
+(* Claim a cell: probe [seg] from [start] (a per-domain offset, so
+   concurrent committers land on distinct cells without coordination),
+   then the segments after it; past the last one, link a new segment
+   whose cell 0 is already claimed.  Claim, draw, publish — in that
+   order; see the header comment for why [stable_time] depends on it. *)
+let rec probe seg start i =
+  if i < segment_cells then begin
+    let c = Array.unsafe_get seg.cells ((start + i) land (segment_cells - 1)) in
+    if Atomic.get c = 0 && Atomic.compare_and_set c 0 claiming then c
+    else probe seg start (i + 1)
+  end
+  else
+    match Atomic.get seg.next with
+    | Some next -> probe next start 0
+    | None ->
+      let fresh = new_segment () in
+      let c = fresh.cells.(0) in
+      Atomic.set c claiming;
+      if Atomic.compare_and_set seg.next None (Some fresh) then c
+      else probe seg start segment_cells
 
-(* Claim a pin, then draw, then publish — in that order; see the header
-   comment for why [stable_time] depends on it.  [publish] is separate
-   from [claim] because the WAL path draws under its mutex. *)
-let claim t =
-  match try_claim_slot t with
-  | Some idx -> Slot idx
-  | None ->
-    (* Overflow claims must be as visible to [stable_time] as slot
-       claims: push the [claiming] sentinel into the list {e now}, under
-       the mutex, so a scan running between this claim and [publish]
-       finds an unresolved entry and re-scans — the slot path's -1
-       protocol.  (Issued timestamps are >= 1, so the sentinel is
-       unambiguous.)  [overflow_count] turns nonzero only after the
-       sentinel is in place: a scan that reads 0 precedes this claim,
-       hence precedes the draw, whose timestamp then exceeds the
-       scan's watermark. *)
-    with_overflow t (fun () ->
-        t.overflow <- claiming :: t.overflow;
-        Atomic.incr t.overflow_count);
-    Overflow
-
-let rec replace_first ~from ~to_ = function
-  | [] -> [ to_ ]
-  | x :: rest -> if x = from then to_ :: rest else x :: replace_first ~from ~to_ rest
-
-let publish t pin ts =
-  match pin with
-  | Slot idx -> Atomic.set t.slots.(idx) ts
-  | Overflow ->
-    with_overflow t (fun () -> t.overflow <- replace_first ~from:claiming ~to_:ts t.overflow)
-
-let retire t pin ts =
-  match pin with
-  | Slot idx -> Atomic.set t.slots.(idx) 0
-  | Overflow ->
-    with_overflow t (fun () ->
-        t.overflow <- List.filter (fun x -> x <> ts) t.overflow;
-        Atomic.decr t.overflow_count)
+let claim t = probe t.inflight ((Domain.self () :> int) * 13) 0
+let retire (pin : pin) = Atomic.set pin 0
 
 (* Pin lookup by timestamp, for the 2PC entry points whose public
    interface names the prepared timestamp only.  Timestamps are unique
-   per manager, so the scan is unambiguous. *)
+   per manager, so the lookup is unambiguous. *)
 let find_pin t ts =
-  let rec go i =
-    if i >= n_inflight_slots then Overflow
-    else if Atomic.get t.slots.(i) = ts then Slot i
-    else go (i + 1)
+  let rec go seg i =
+    if i < segment_cells then
+      if Atomic.get seg.cells.(i) = ts then seg.cells.(i) else go seg (i + 1)
+    else
+      match Atomic.get seg.next with
+      | Some next -> go next 0
+      | None -> invalid_arg "Manager: timestamp not in flight"
   in
-  go 0
-
-(* Move an in-flight pin from [from_ts] to [to_ts] without a gap (the
-   2PC decided-timestamp adoption). *)
-let repin t ~from_ts ~to_ts =
-  match find_pin t from_ts with
-  | Slot idx -> Atomic.set t.slots.(idx) to_ts
-  | Overflow ->
-    with_overflow t (fun () ->
-        t.overflow <- to_ts :: List.filter (fun x -> x <> from_ts) t.overflow)
+  go t.inflight 0
 
 let inflight_count t =
-  Array.fold_left (fun n s -> if Atomic.get s <> 0 then n + 1 else n) 0 t.slots
-  + Atomic.get t.overflow_count
+  let rec go seg n =
+    let n = Array.fold_left (fun n c -> if Atomic.get c <> 0 then n + 1 else n) n seg.cells in
+    match Atomic.get seg.next with Some next -> go next n | None -> n
+  in
+  go t.inflight 0
+
+(* The smallest published pin at or after cell [i] of [seg], or [lo] if
+   none is smaller; [claiming] as soon as any claim is unresolved.  Each
+   segment's [next] is read after its cells. *)
+let rec min_pin seg i lo =
+  if i < segment_cells then begin
+    let v = Atomic.get (Array.unsafe_get seg.cells i) in
+    if v = claiming then claiming else min_pin seg (i + 1) (if v <> 0 && v < lo then v else lo)
+  end
+  else match Atomic.get seg.next with Some next -> min_pin next 0 lo | None -> lo
 
 (* The commit watermark.  Read the allocation state (draws, observed)
    {e first}, then scan the pins, re-scanning while any claim is
-   unresolved (sentinel): a committer that claimed after its slot was
-   scanned performs its fetch-and-add after our [draws]/[observed] reads
+   unresolved (sentinel): a committer that claimed after its cell was
+   scanned, or linked its segment after we read the last [next],
+   performs its fetch-and-add after our [draws]/[observed] reads
    (program order on its side, monotone atomics on ours), so its
    timestamp is at least the next-draw timestamp computed from the state
    we read — strictly above what we return.  With pins in flight the
@@ -259,28 +237,12 @@ let stable_time t =
   let rec scan () =
     let d = Atomic.get t.draws in
     let obs = Atomic.get t.observed in
-    let lo = ref max_int in
-    let unresolved = ref false in
-    Array.iter
-      (fun s ->
-        let v = Atomic.get s in
-        if v = claiming then unresolved := true else if v <> 0 && v < !lo then lo := v)
-      t.slots;
-    (* Overflow pins follow the same sentinel protocol as slots: a claim
-       pushed [claiming] before its draw, so an unresolved entry forces
-       a re-scan exactly like an unresolved slot. *)
-    if Atomic.get t.overflow_count <> 0 then
-      with_overflow t (fun () ->
-          List.iter
-            (fun x ->
-              if x = claiming then unresolved := true else if x < !lo then lo := x)
-            t.overflow);
-    if !unresolved then begin
+    match min_pin t.inflight 0 max_int with
+    | v when v = claiming ->
       Domain.cpu_relax ();
       scan ()
-    end
-    else if !lo <> max_int then !lo - 1
-    else ts_of t (max d (need_for t obs) + 1) - 1
+    | v when v <> max_int -> v - 1
+    | _ -> ts_of t (max d (need_for t obs) + 1) - 1
   in
   scan ()
 
@@ -295,36 +257,40 @@ let draw_section t f =
   end
   else f ()
 
-(* Draw a timestamp and pin it in flight — claim before draw, so
-   [stable_time] can never miss a drawn-but-undistributed commit.  With
-   a WAL, the commit record is appended inside the same mutex-guarded
-   section: the log's commit-record order is then exactly the
-   commit-timestamp order, i.e. the hybrid serialization order (decided
-   cross-shard commits are the one exception — see [decide_commit];
-   recovery sorts by timestamp and never relies on record order).
-   Returns the commit record's LSN alongside the timestamp — the handle
-   [attempt_once] passes to [Wal.Log.sync_upto], this transaction's
-   durability point.
+(* Claim a pin, draw a timestamp into it and, with a WAL, append the
+   transaction's record — a [Commit], or with [gtxn] a 2PC [Prepare] —
+   returning the timestamp, the pin and the record's LSN (0 without a
+   WAL).  Claim before draw, so [stable_time] can never miss a
+   drawn-but-undistributed commit.  With a WAL, the append happens
+   inside the same mutex-guarded section: the log's commit-record order
+   is then exactly the commit-timestamp order, i.e. the hybrid
+   serialization order (decided cross-shard commits are the one
+   exception — see [decide_commit]; recovery sorts by timestamp and
+   never relies on record order).
 
    Exception-safe: a failing append retires the timestamp before
    re-raising, so a full disk can never wedge [stable_time].  (A failed
-   append also means the commit record is not durably complete — the
-   frame's CRC cannot check out — so aborting afterwards is sound.) *)
-let begin_commit t txn =
+   append also means the record is not durably complete — the frame's
+   CRC cannot check out — so aborting afterwards is sound.) *)
+let pin_and_append t txn gtxn =
   draw_section t (fun () ->
       let pin = claim t in
       let ts = draw t in
-      publish t pin ts;
+      Atomic.set pin ts;
       match t.wal with
-      | None -> (ts, pin, None)
+      | None -> (ts, pin, 0)
       | Some w -> (
-        match Wal.Log.append_lsn w (Wal.Log.Commit { txn = Txn_rt.id txn; ts }) with
-        | lsn -> (ts, pin, Some (w, lsn))
+        let txn = Txn_rt.id txn in
+        let record =
+          match gtxn with
+          | None -> Wal.Log.Commit { txn; ts }
+          | Some gtxn -> Wal.Log.Prepare { txn; gtxn; ts }
+        in
+        match Wal.Log.append_lsn w record with
+        | lsn -> (ts, pin, lsn)
         | exception e ->
-          retire t pin ts;
+          retire pin;
           raise e))
-
-let end_commit t pin ts = retire t pin ts
 
 (* Abort records are an optimization, not a correctness requirement:
    recovery discards any intentions without a commit record, so a lost
@@ -337,7 +303,7 @@ let log_abort t txn =
 (* The full local commit path for an externally managed handle (the
    bodies of [attempt_once] and the coordinator's single-shard fast
    path).  Three exits, in-flight timestamp retired on every one:
-   - append failed inside [begin_commit]: the record is not durably
+   - append failed inside [pin_and_append]: the record is not durably
      complete, so the attempt aborts like any other failure;
    - [sync_upto] failed: the record was appended and {e may} be on
      disk, so neither commit nor abort can be reported — the timestamp
@@ -348,17 +314,17 @@ let log_abort t txn =
      retires the timestamp even if a participant's [on_commit]
      raises). *)
 let commit_txn t txn =
-  match begin_commit t txn with
+  match pin_and_append t txn None with
   | exception e ->
     if Obs.Span.enabled () then Obs.Span.txn_abort ~txn:(Txn_rt.id txn);
     Txn_rt.abort txn;
     Atomic.incr t.failures;
     Obs.Metrics.incr m_aborts;
     raise e
-  | ts, pin, lsn -> (
+  | ts, pin, l -> (
     let durable =
-      match lsn with
-      | Some (w, l) ->
+      match t.wal with
+      | Some w ->
         (* Append and sync-wait marks bracket the group-commit barrier:
            the flight span's commit phase starts at the append, and the
            sync window isolates time spent waiting on the durability
@@ -374,14 +340,14 @@ let commit_txn t txn =
     in
     match durable with
     | Error e ->
-      end_commit t pin ts;
+      retire pin;
       Obs.Metrics.incr m_durability_lost;
       raise
         (Durability_lost
            (Printf.sprintf "txn %d (ts %d): commit record appended but not synced: %s"
               (Txn_rt.id txn) ts (Printexc.to_string e)))
     | Ok () ->
-      Fun.protect ~finally:(fun () -> end_commit t pin ts) (fun () -> Txn_rt.commit txn ts);
+      Fun.protect ~finally:(fun () -> retire pin) (fun () -> Txn_rt.commit txn ts);
       Atomic.incr t.commits;
       Obs.Metrics.incr m_commits;
       if Obs.Span.enabled () then Obs.Span.txn_commit ~txn:(Txn_rt.id txn) ~ts;
@@ -409,18 +375,8 @@ let abort_txn t txn =
 let prepare t txn ~gtxn =
   if Obs.Span.enabled () then
     Obs.Span.prepare ~txn:(Txn_rt.id txn) ~shard:t.stripe_index;
-  draw_section t (fun () ->
-      let pin = claim t in
-      let ts = draw t in
-      publish t pin ts;
-      match t.wal with
-      | None -> (ts, 0)
-      | Some w -> (
-        match Wal.Log.append_lsn w (Wal.Log.Prepare { txn = Txn_rt.id txn; gtxn; ts }) with
-        | lsn -> (ts, lsn)
-        | exception e ->
-          retire t pin ts;
-          raise e))
+  let ts, _, lsn = pin_and_append t txn (Some gtxn) in
+  (ts, lsn)
 
 (* Phase 2, commit: adopt the decided timestamp (max over all
    participants' prepares).  The clock observes the decision (CAS-max
@@ -436,6 +392,7 @@ let prepare t txn ~gtxn =
    only {e after} the commit events are distributed, because the global
    decision is durable at the coordinator and cannot be un-taken. *)
 let decide_commit t txn ~prepared ~ts =
+  let pin = find_pin t prepared in
   let logged =
     draw_section t (fun () ->
         (* Observe {e before} repinning: once the pin sits at the
@@ -446,7 +403,7 @@ let decide_commit t txn ~prepared ~ts =
            guarantees.  In between, the pin still holds the smaller
            prepared timestamp, keeping scans conservative. *)
         observe t ts;
-        repin t ~from_ts:prepared ~to_ts:ts;
+        Atomic.set pin ts;
         match t.wal with
         | None -> Ok 0
         | Some w -> (
@@ -455,8 +412,7 @@ let decide_commit t txn ~prepared ~ts =
   in
   if Obs.Span.enabled () then
     Obs.Span.decide_commit ~txn:(Txn_rt.id txn) ~shard:t.stripe_index ~ts;
-  let pin = find_pin t ts in
-  Fun.protect ~finally:(fun () -> retire t pin ts) (fun () -> Txn_rt.commit txn ts);
+  Fun.protect ~finally:(fun () -> retire pin) (fun () -> Txn_rt.commit txn ts);
   Atomic.incr t.commits;
   Obs.Metrics.incr m_commits;
   match logged with Ok lsn -> lsn | Error e -> raise e
@@ -469,7 +425,7 @@ let decide_abort t txn ~prepared =
     Obs.Span.decide_abort ~txn:(Txn_rt.id txn) ~shard:t.stripe_index;
   log_abort t txn;
   Txn_rt.abort txn;
-  retire t (find_pin t prepared) prepared;
+  retire (find_pin t prepared);
   Atomic.incr t.failures;
   Obs.Metrics.incr m_aborts
 

@@ -51,7 +51,7 @@ let () =
     [
       ( "ceiling",
         [
-          Alcotest.test_case "3-op account transaction" `Quick (check_ceiling three_ops 338);
-          Alcotest.test_case "8-op account transaction" `Quick (check_ceiling eight_ops 628);
+          Alcotest.test_case "3-op account transaction" `Quick (check_ceiling three_ops 328);
+          Alcotest.test_case "8-op account transaction" `Quick (check_ceiling eight_ops 618);
         ] );
     ]

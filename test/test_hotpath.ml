@@ -5,9 +5,9 @@
    its last draw), multi-domain timestamp allocation (residue class,
    uniqueness, monotone watermark under concurrency), the park/wake
    scheduler rendezvous, and the restart pause that waits for the
-   winner's transaction.  The ENOSPC no-wedge behaviour of the in-flight
-   set is covered by test_wal_group, which must stay green against the
-   slot-based implementation. *)
+   winner's transaction, and the segmented in-flight set (no pin limit,
+   no mutex, more than 64 concurrent durable commits).  The ENOSPC
+   no-wedge behaviour of the in-flight set is covered by test_wal_group. *)
 
 module Q = Adt.Fifo_queue
 module QObj = Runtime.Atomic_obj.Make (Q)
@@ -155,9 +155,10 @@ let test_decided_adoption_advances_stripe () =
 
 (* ---------------- in-flight overflow + allocation races ------------ *)
 
-(* More than 64 simultaneous in-flight commits spill past the slot array
-   into the overflow list; the watermark must track overflow pins
-   exactly like slot pins through claim (sentinel), publish and retire. *)
+(* More than 64 simultaneous in-flight commits spill past the first
+   segment of the in-flight set (once an overflow list); the watermark
+   must track those pins exactly like the first 64 through claim
+   (sentinel), publish and retire. *)
 let test_overflow_pins_hold_watermark () =
   let mgr = Runtime.Manager.create () in
   let n = 70 in
@@ -177,11 +178,11 @@ let test_overflow_pins_hold_watermark () =
         (Runtime.Manager.stable_time mgr))
     pins
 
-(* The overflow claim-visibility race: a committer past the 64 slots
-   used to be invisible to [stable_time] between its claim and its
-   publish, so the scan could return a watermark at or above a
+(* The overflow claim-visibility race: a committer past the first 64
+   cells used to be invisible to [stable_time] between its claim and
+   its publish, so the scan could return a watermark at or above a
    drawn-but-undistributed timestamp.  Four domains keep 20 pins each in
-   flight (80 > 64, so claims constantly cross the overflow boundary)
+   flight (80 > 64, so claims constantly cross into the second segment)
    and assert, while their own pin is live, that the watermark stays
    strictly below it. *)
 let test_overflow_claim_visibility_multicore () =
@@ -208,6 +209,166 @@ let test_overflow_claim_visibility_multicore () =
   in
   List.iter Domain.join workers;
   check_int "stable_time never reached a live pin" 0 (Atomic.get violations)
+
+(* ---------------- the segmented in-flight set: no pin limit ---------- *)
+
+(* The manager's in-flight count, read through its introspection
+   provider. *)
+let inflight_of name =
+  match Obs.Registry.snapshot "horizon" with
+  | Obs.Json.List providers -> (
+    match
+      List.find_opt (fun p -> Obs.Json.member "object" p = Some (Obs.Json.String name)) providers
+    with
+    | Some p -> Option.value ~default:(-1) (Option.bind (Obs.Json.member "inflight" p) Obs.Json.to_int)
+    | None -> Alcotest.failf "no horizon provider named %s" name)
+  | _ -> Alcotest.fail "horizon channel is not a list"
+
+let with_introspection name mgr f =
+  Runtime.Manager.register_introspection ~name mgr;
+  Fun.protect ~finally:(fun () -> Obs.Registry.unregister_snapshot ~channel:"horizon" ~name) f
+
+(* 200 prepared pins on one WAL-off manager span four segments and take
+   no mutex.  They retire in a stride-7 order, not draw order (a third
+   of them by a decided commit at their own timestamp), and after each
+   retire the watermark is one below the oldest pin still live. *)
+let test_many_pins_no_mutex () =
+  let mgr = Runtime.Manager.create () in
+  with_introspection "many-pins" mgr @@ fun () ->
+  let n = 200 in
+  let before = Runtime.Lockstat.snapshot () in
+  let pins =
+    Array.init n (fun _ ->
+        let b = Runtime.Txn_rt.fresh () in
+        (b, fst (Runtime.Manager.prepare mgr b ~gtxn:(Runtime.Txn_rt.id b))))
+  in
+  check_int "every pin in flight" n (inflight_of "many-pins");
+  check_int "watermark below the oldest pin" (snd pins.(0) - 1)
+    (Runtime.Manager.stable_time mgr);
+  let live = Array.make n true in
+  for k = 0 to n - 1 do
+    let i = k * 7 mod n in
+    let b, ts = pins.(i) in
+    if k mod 3 = 0 then ignore (Runtime.Manager.decide_commit mgr b ~prepared:ts ~ts : int)
+    else Runtime.Manager.decide_abort mgr b ~prepared:ts;
+    live.(i) <- false;
+    let oldest = ref None in
+    Array.iteri (fun j (_, ts) -> if live.(j) && !oldest = None then oldest := Some ts) pins;
+    let expected =
+      match !oldest with Some ts -> ts - 1 | None -> Runtime.Manager.current_time mgr
+    in
+    check_int (Printf.sprintf "watermark after retiring ts %d" ts) expected
+      (Runtime.Manager.stable_time mgr)
+  done;
+  let d = Runtime.Lockstat.diff ~before ~after:(Runtime.Lockstat.snapshot ()) in
+  check_int "mutex acquisitions" 0 (Runtime.Lockstat.total d);
+  check_int "nothing in flight" 0 (inflight_of "many-pins")
+
+(* Four domains hold 50 pins each at once: 200 live pins need four
+   segments, and the domains race to link them on each fresh manager.
+   While its pins are live, every domain's watermark reads stay below
+   each of them, and no domain takes a mutex. *)
+let test_segments_link_multicore () =
+  let rounds = 10 and domains = 4 and per_domain = 50 in
+  let mgrs = Array.init rounds (fun _ -> Runtime.Manager.create ()) in
+  let held = Array.init rounds (fun _ -> Atomic.make 0) in
+  let counted = Array.init rounds (fun _ -> Atomic.make false) in
+  let peak = Array.make rounds 0 in
+  let violations = Atomic.make 0 in
+  let await a n =
+    while Atomic.get a < n do
+      Domain.cpu_relax ()
+    done
+  in
+  Array.iteri
+    (fun r mgr -> Runtime.Manager.register_introspection ~name:(Printf.sprintf "segments-%d" r) mgr)
+    mgrs;
+  let before = Runtime.Lockstat.snapshot () in
+  let workers =
+    List.init domains (fun w ->
+        Domain.spawn (fun () ->
+            for r = 0 to rounds - 1 do
+              let mgr = mgrs.(r) in
+              let pins =
+                List.init per_domain (fun _ ->
+                    let b = Runtime.Txn_rt.fresh () in
+                    let ts, _ = Runtime.Manager.prepare mgr b ~gtxn:(Runtime.Txn_rt.id b) in
+                    if Runtime.Manager.stable_time mgr >= ts then Atomic.incr violations;
+                    (b, ts))
+              in
+              Atomic.incr held.(r);
+              await held.(r) domains;
+              let lowest = List.fold_left (fun m (_, ts) -> min m ts) max_int pins in
+              if Runtime.Manager.stable_time mgr >= lowest then Atomic.incr violations;
+              if w = 0 then begin
+                peak.(r) <- inflight_of (Printf.sprintf "segments-%d" r);
+                Atomic.set counted.(r) true
+              end;
+              while not (Atomic.get counted.(r)) do
+                Domain.cpu_relax ()
+              done;
+              List.iter (fun (b, ts) -> Runtime.Manager.decide_abort mgr b ~prepared:ts) pins
+            done))
+  in
+  List.iter Domain.join workers;
+  let d = Runtime.Lockstat.diff ~before ~after:(Runtime.Lockstat.snapshot ()) in
+  check_int "mutex acquisitions" 0 (Runtime.Lockstat.total d);
+  Array.iteri
+    (fun r mgr ->
+      let name = Printf.sprintf "segments-%d" r in
+      check_int (Printf.sprintf "round %d: pins live at once" r) (domains * per_domain) peak.(r);
+      check_int (Printf.sprintf "round %d: nothing in flight" r) 0 (inflight_of name);
+      check_int
+        (Printf.sprintf "round %d: idle watermark reaches the clock" r)
+        (Runtime.Manager.current_time mgr) (Runtime.Manager.stable_time mgr);
+      Obs.Registry.unregister_snapshot ~channel:"horizon" ~name)
+    mgrs;
+  check_int "stable_time never reached a live pin" 0 (Atomic.get violations)
+
+(* More than 64 concurrent commits through a durable group-commit log.
+   The first sync leader's hook holds the barrier until 100 committers
+   each hold a pin (drawn 1..100, none durable yet, so the smallest is
+   1); meanwhile the watermark stays below it.  After release every
+   transaction commits, the watermark reaches the clock, and the
+   manager took exactly one mutex per commit: its WAL section. *)
+let test_hundred_concurrent_commits () =
+  let n = 100 in
+  let path = Filename.temp_file "hybrid-cc-hotpath" ".wal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+  let w = Wal.Log.create ~group_commit:true path in
+  let mgr = Runtime.Manager.create ~wal:w () in
+  with_introspection "hundred-commits" mgr @@ fun () ->
+  let released = Atomic.make false in
+  let peak = ref 0 and violations = ref 0 in
+  let deadline = Unix.gettimeofday () +. 60. in
+  Wal.Log.set_sync_hook w (fun () ->
+      while
+        (not (Atomic.get released))
+        && inflight_of "hundred-commits" < n
+        && Unix.gettimeofday () < deadline
+      do
+        if Runtime.Manager.stable_time mgr >= 1 then incr violations;
+        Thread.delay 0.001
+      done;
+      if not (Atomic.get released) then begin
+        peak := inflight_of "hundred-commits";
+        if Runtime.Manager.stable_time mgr >= 1 then incr violations;
+        Atomic.set released true
+      end);
+  let before = Runtime.Lockstat.snapshot () in
+  let committers =
+    List.init n (fun _ -> Thread.create (fun () -> Runtime.Manager.run mgr (fun _ -> ())) ())
+  in
+  List.iter Thread.join committers;
+  let d = Runtime.Lockstat.diff ~before ~after:(Runtime.Lockstat.snapshot ()) in
+  Wal.Log.clear_sync_hook w;
+  Wal.Log.close w;
+  check_int "committers holding pins at once" n !peak;
+  check_int "watermark stayed below the smallest pin" 0 !violations;
+  check_int "every transaction committed" n (Runtime.Manager.stats mgr).Runtime.Manager.committed;
+  check_int "clock" n (Runtime.Manager.current_time mgr);
+  check_int "watermark reaches the clock" n (Runtime.Manager.stable_time mgr);
+  check_int "manager mutex acquisitions: one WAL section per commit" n d.Runtime.Lockstat.s_mgr
 
 (* The stale-[observed] draw race: a drawer stalled between its pre-draw
    [observed] read and its fetch-and-add used to issue a count a foreign
@@ -770,6 +931,10 @@ let () =
             test_overflow_claim_visibility_multicore;
           Alcotest.test_case "draw revalidates observed under adoption" `Quick
             test_draw_revalidates_observed_multicore;
+          Alcotest.test_case "200 pins take no mutex" `Quick test_many_pins_no_mutex;
+          Alcotest.test_case "4 domains link segments" `Quick test_segments_link_multicore;
+          Alcotest.test_case "100 concurrent durable commits" `Quick
+            test_hundred_concurrent_commits;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_striped_draws_multicore ] );
       ( "scheduler",
