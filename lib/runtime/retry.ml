@@ -27,7 +27,15 @@ let backstop = 1e-3
    restart loop that catches the abort does not, so the hint carries
    them across (one transaction runs per domain at a time).  A pause
    heeds only its own transaction's hint, never one left by a death
-   that no restart loop caught. *)
+   that no restart loop caught.
+
+   The hint stays per domain under the virtual-time simulator too,
+   where several transactions run as fibers on one domain: a fiber
+   switches only at a [Sched.park], and none lies between the write at
+   a death and the read in the next [restart_pause].  The abort unwinds
+   through [refused]'s [leave_wait] (a gauge and a span mark), the
+   manager's abort — whose participants' releases notify, and notify
+   never parks — and [until_commit], straight into the pause. *)
 type hint = { obj : int; holder : int; winner : int; loser : int }
 
 let restart_hint : hint option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
@@ -75,7 +83,7 @@ let until_commit ~priority attempt =
 
 (* Everything after a first refusal: the wait window, wait-die and the
    spin-then-park loop. *)
-let refused ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt failure =
+let refused ?(on_retry = ignore) ~obj ~name ~self attempt failure =
   let my_priority = Txn_rt.priority self in
   let my_id = Txn_rt.id self in
   let waiting = ref false in
@@ -156,7 +164,7 @@ let refused ?(on_retry = ignore) ?(obj = 0) ~name ~self attempt failure =
 
 (* The uncontended call is one attempt: the wait machinery is set up
    only after a refusal. *)
-let run ?on_retry ?obj ~name ~self attempt =
+let run ?on_retry ~obj ~name ~self attempt =
   match attempt () with
   | Ok v -> v
-  | Error failure -> refused ?on_retry ?obj ~name ~self attempt failure
+  | Error failure -> refused ?on_retry ~obj ~name ~self attempt failure

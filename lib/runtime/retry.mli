@@ -37,7 +37,7 @@ type failure = [ `Blocked | `Conflict of conflict option ]
 
 val run :
   ?on_retry:(unit -> unit) ->
-  ?obj:int ->
+  obj:int ->
   name:string ->
   self:Txn_rt.t ->
   (unit -> ('a, [< failure ]) result) ->
@@ -61,7 +61,7 @@ val run :
 
 val refused :
   ?on_retry:(unit -> unit) ->
-  ?obj:int ->
+  obj:int ->
   name:string ->
   self:Txn_rt.t ->
   (unit -> ('a, [< failure ] as 'f) result) ->

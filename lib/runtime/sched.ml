@@ -148,6 +148,23 @@ let notify ~obj =
       (Atomic.exchange b [])
   end
 
+(* ---- the simulator seam ----
+
+   A park is the one point where a fiber of Sim.Det_sim yields;
+   register, notify and deliver stay the real code, so the simulator
+   runs the shipped wait policy. *)
+
+type _ Effect.t += Park : ticket * float -> unit Effect.t
+
+let simulated : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+
+let signalled w = Atomic.get w.w_state = 1
+
+let simulate f =
+  let flag = Domain.DLS.get simulated in
+  flag := true;
+  Fun.protect ~finally:(fun () -> flag := false) f
+
 (* Timed wait on the ticket: returns as soon as a release signals us, at
    the latest after [timeout].  The caller must have re-attempted after
    registering (see module comment); a signal that raced our entry is
@@ -159,7 +176,6 @@ let notify ~obj =
    waiter's own signal: its state turns 1 before its byte is written. *)
 let park w ~timeout =
   Atomic.incr n_parks;
-  let signalled () = Atomic.get w.w_state = 1 in
   let finish () =
     (* Settle the state: 1 stays (woken), 0 becomes 2 (expired). *)
     if Atomic.compare_and_set w.w_state 0 2 then begin
@@ -169,7 +185,16 @@ let park w ~timeout =
     else `Woken
   in
   drain w.w_slot;
-  if signalled () then finish ()
+  if signalled w then finish ()
+  else if !(Domain.DLS.get simulated) then begin
+    (* The handler resumes us once the ticket reads signalled or at the
+       virtual deadline; an unwinding fiber leaves no live waiter. *)
+    (try Effect.perform (Park (w, timeout))
+     with e ->
+       cancel w;
+       raise e);
+    finish ()
+  end
   else begin
     if Obs.Span.enabled () then
       Obs.Span.park ~txn:w.w_txn ~obj:w.w_obj
@@ -182,7 +207,7 @@ let park w ~timeout =
         | _ -> ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         drain w.w_slot;
-        if not (signalled ()) then wait ()
+        if not (signalled w) then wait ()
       end
     in
     wait ();

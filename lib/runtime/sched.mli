@@ -32,6 +32,26 @@ val notify : obj:int -> unit
 (** Wake every waiter registered on [obj] (commit/abort release path).
     Empty bucket: one atomic read, no allocation. *)
 
+(** {1 Simulator seam}
+
+    A virtual-time simulator runs the real runtime as effect-handler
+    fibers on one domain.  Under {!simulate}, a {!park} whose ticket is
+    not yet signalled performs [Park (ticket, timeout)] instead of
+    waiting on the self-pipe; the handler resumes the fiber once
+    {!signalled} holds or at the virtual deadline, and [park] then
+    settles the ticket exactly as after a real wait ([`Woken], or
+    [`Timeout] counted in {!stats}).  Outside {!simulate} nothing
+    changes. *)
+
+type _ Effect.t += Park : ticket * float -> unit Effect.t
+
+val simulate : (unit -> 'a) -> 'a
+(** Run [f] with the calling domain's parks performed as [Park]
+    effects.  [f] must handle them. *)
+
+val signalled : ticket -> bool
+(** Whether a release has delivered the ticket's wake-up. *)
+
 type stats = { parks : int; wakes : int; steals : int; timeouts : int; notifies : int }
 (** [steals] always reads 0: wake-ups are delivered by the notifier
     itself, so nothing is ever stolen.  The field stays because the

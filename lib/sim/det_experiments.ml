@@ -2,8 +2,10 @@ type row = {
   label : string;
   committed : int;
   restarts : int;
+  max_restarts : int;
   conflicts : int;
   blocked : int;
+  timeouts : int;
   makespan : int;
   concurrency : float;
 }
@@ -15,51 +17,31 @@ let txns_per_worker = 25
 
 let pp_table ppf t =
   Format.fprintf ppf "== %s (deterministic): %s ==@.   (%s)@." t.id t.title t.params;
-  Format.fprintf ppf "%-28s %9s %9s %10s %8s %10s %12s@." "relation" "committed"
-    "restarts" "conflicts" "blocked" "makespan" "concurrency";
+  Format.fprintf ppf "%-28s %9s %9s %7s %10s %8s %8s %10s %12s@." "relation" "committed"
+    "restarts" "max/txn" "conflicts" "blocked" "timeouts" "makespan" "concurrency";
   List.iter
     (fun r ->
-      Format.fprintf ppf "%-28s %9d %9d %10d %8d %10d %12.2f@." r.label r.committed
-        r.restarts r.conflicts r.blocked r.makespan r.concurrency)
+      Format.fprintf ppf "%-28s %9d %9d %7d %10d %8d %8d %10d %12.2f@." r.label r.committed
+        r.restarts r.max_restarts r.conflicts r.blocked r.timeouts r.makespan r.concurrency)
     t.rows
 
 module DQ = Det_sim.Make (Adt.Fifo_queue)
 module DS = Det_sim.Make (Adt.Semiqueue)
 module DA = Det_sim.Make (Adt.Account)
 
-let params = Printf.sprintf "%d workers x %d txns, virtual think 100" workers txns_per_worker
+let params = Printf.sprintf "%d workers x %d txns, virtual think 100 us" workers txns_per_worker
 
-let row_q label (r : DQ.result) =
+let row label (r : Det_sim.result) =
   {
     label;
-    committed = r.DQ.committed;
-    restarts = r.DQ.restarts;
-    conflicts = r.DQ.conflicts;
-    blocked = r.DQ.blocked;
-    makespan = r.DQ.makespan;
-    concurrency = DQ.concurrency r;
-  }
-
-let row_s label (r : DS.result) =
-  {
-    label;
-    committed = r.DS.committed;
-    restarts = r.DS.restarts;
-    conflicts = r.DS.conflicts;
-    blocked = r.DS.blocked;
-    makespan = r.DS.makespan;
-    concurrency = DS.concurrency r;
-  }
-
-let row_a label (r : DA.result) =
-  {
-    label;
-    committed = r.DA.committed;
-    restarts = r.DA.restarts;
-    conflicts = r.DA.conflicts;
-    blocked = r.DA.blocked;
-    makespan = r.DA.makespan;
-    concurrency = DA.concurrency r;
+    committed = r.committed;
+    restarts = r.restarts;
+    max_restarts = r.max_restarts;
+    conflicts = r.conflicts;
+    blocked = r.blocked;
+    timeouts = r.timeouts;
+    makespan = r.makespan;
+    concurrency = Det_sim.concurrency r;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -93,7 +75,7 @@ let det_queue_enq () =
   let rows =
     List.map
       (fun (label, conflict) ->
-        row_q label (DQ.run ~conflict scripts))
+        row label (DQ.run ~conflict scripts))
       queue_relations
   in
   { id = "EXP-QUEUE-ENQ"; title = "concurrent enqueuers"; params; rows }
@@ -104,7 +86,7 @@ let det_queue_mixed () =
   let scripts = queue_pc_scripts () in
   let rows =
     List.map
-      (fun (label, conflict) -> row_q label (DQ.run ~prefill:queue_prefill ~conflict scripts))
+      (fun (label, conflict) -> row label (DQ.run ~prefill:queue_prefill ~conflict scripts))
       queue_relations
   in
   { id = "EXP-QUEUE-MIXED"; title = "producers vs consumers"; params; rows }
@@ -125,7 +107,7 @@ let det_account () =
   let rows =
     List.map
       (fun (label, conflict) ->
-        row_a label (DA.run ~prefill:[ Adt.Account.Credit 1_000_000 ] ~conflict scripts))
+        row label (DA.run ~prefill:[ Adt.Account.Credit 1_000_000 ] ~conflict scripts))
       [
         ("hybrid (fig 4-5)", Adt.Account.conflict_hybrid);
         ("commutativity (fig 7-1)", Adt.Account.conflict_commutativity);
@@ -138,13 +120,13 @@ let det_semiqueue () =
   let semi_prefill = List.init 300 (fun k -> Adt.Semiqueue.Ins (1 + (k mod 2))) in
   let rows =
     [
-      row_s "SemiQueue hybrid (fig 4-4)"
+      row "SemiQueue hybrid (fig 4-4)"
         (DS.run ~prefill:semi_prefill ~conflict:Adt.Semiqueue.conflict_hybrid
            (pc_scripts ~produce:(fun v -> Adt.Semiqueue.Ins v) ~consume:Adt.Semiqueue.Rem));
-      row_q "Queue hybrid (fig 4-2)"
+      row "Queue hybrid (fig 4-2)"
         (DQ.run ~prefill:queue_prefill ~conflict:Adt.Fifo_queue.conflict_hybrid
            (queue_pc_scripts ()));
-      row_q "Queue fig 4-3"
+      row "Queue fig 4-3"
         (DQ.run ~prefill:queue_prefill ~conflict:Adt.Fifo_queue.conflict_fig_4_3
            (queue_pc_scripts ()));
     ]

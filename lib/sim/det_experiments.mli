@@ -13,8 +13,10 @@ type row = {
   label : string;
   committed : int;
   restarts : int;
+  max_restarts : int;  (** the most restarts of any one transaction *)
   conflicts : int;
   blocked : int;
+  timeouts : int;  (** parks ended by the 1 ms backstop, not a release *)
   makespan : int;
   concurrency : float;
 }

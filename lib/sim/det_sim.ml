@@ -1,190 +1,175 @@
+module Manager = Runtime.Manager
+module Sched = Runtime.Sched
+
+(* A worker's operation is done; the handler charges it [think] units. *)
+type _ Effect.t += Think : unit Effect.t
+
+let think = 100
+
+(* One virtual unit is 1 µs, so [Retry.backstop]'s 1 ms is 1000 units. *)
+let units seconds = int_of_float (seconds *. 1e6)
+
+(* Virtual time past the last progress after which a run fails. *)
+let patience = 1_000_000
+
+type result = {
+  committed : int;
+  restarts : int;
+  max_restarts : int;
+  conflicts : int;
+  blocked : int;
+  timeouts : int;
+  makespan : int;
+  busy : int;
+}
+
+let concurrency r =
+  if r.makespan = 0 then 1. else float_of_int r.busy /. float_of_int r.makespan
+
+(* A suspended fiber: due at virtual time [at] (a think timer, or a
+   park's backstop deadline), or — when it is parked — as soon as its
+   ticket reads signalled. *)
+type waiting = {
+  at : int;
+  ticket : Sched.ticket option;
+  k : (unit, unit) Effect.Deep.continuation;
+}
+
+let signalled w = match w.ticket with Some t -> Sched.signalled t | None -> false
+
+(* The earliest deadline, the earliest suspended among equals. *)
+let earliest waiting =
+  List.fold_left
+    (fun best w -> match best with Some b when b.at <= w.at -> best | _ -> Some w)
+    None waiting
+
+(* Run [fibers] on the calling domain, each until its first effect in
+   array order, then one at a time until all return.  Woken parks
+   resume first, at the current virtual time, in the order their
+   wake-ups were delivered: a fiber runs until it suspends, and it
+   registers a waiter only to park on it or cancel it, so the parks
+   signalled while it ran were all woken by its first release of the
+   object, whose [Sched.notify] delivers the newest registration first
+   (the bucket is a stack) — reverse park order.  With none woken, the
+   earliest deadline advances the clock.  [progress] is the virtual
+   time of the last finished operation or commit.  On an exception the
+   fibers still suspended are unwound (their transactions abort) before
+   it propagates. *)
+let schedule ~now ~progress fibers =
+  let waiting = ref [] (* in suspension order *) and woken = ref [] (* in delivery order *) in
+  let suspend w = waiting := !waiting @ [ w ] in
+  let handler =
+    {
+      Effect.Deep.retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Think ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                progress := !now;
+                suspend { at = !now + think; ticket = None; k })
+          | Sched.Park (ticket, timeout) ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                suspend { at = !now + units timeout; ticket = Some ticket; k })
+          | _ -> None);
+    }
+  in
+  let collect_woken () =
+    let signalled, rest = List.partition signalled !waiting in
+    waiting := rest;
+    woken := !woken @ List.rev signalled
+  in
+  let rec loop () =
+    collect_woken ();
+    match !woken with
+    | w :: rest ->
+      woken := rest;
+      Effect.Deep.continue w.k ();
+      loop ()
+    | [] -> (
+      match earliest !waiting with
+      | None -> ()
+      | Some w ->
+        if w.at - !progress > patience then failwith "Det_sim: no progress (blocked workload?)";
+        waiting := List.filter (fun w' -> w' != w) !waiting;
+        now := w.at;
+        Effect.Deep.continue w.k ();
+        loop ())
+  in
+  try
+    Array.iter
+      (fun f ->
+        Effect.Deep.match_with f () handler;
+        collect_woken ())
+      fibers;
+    loop ()
+  with e ->
+    List.iter
+      (fun w -> try Effect.Deep.discontinue w.k Exit with _ -> ())
+      (!woken @ !waiting);
+    raise e
+
 module Make (A : Spec.Adt_sig.S) = struct
-  module C = Hybrid.Compacted.Make (A)
-  module H = C.H
+  module O = Runtime.Atomic_obj.Make (A)
 
   type script = A.inv list list
 
-  type config = {
-    think : int;
-    retry_quantum : int;
-    restart_delay : int;
-    max_attempts : int;
-  }
-
-  let default_config =
-    { think = 100; retry_quantum = 20; restart_delay = 50; max_attempts = 1000 }
-
-  type result = {
+  type nonrec result = result = {
     committed : int;
     restarts : int;
+    max_restarts : int;
     conflicts : int;
     blocked : int;
+    timeouts : int;
     makespan : int;
     busy : int;
   }
 
-  let concurrency r =
-    if r.makespan = 0 then 1. else float_of_int r.busy /. float_of_int r.makespan
+  let concurrency = concurrency
 
-  (* Per-worker cursor through its script. *)
-  type worker = {
-    script : A.inv list array;
-    mutable txn_idx : int;
-    mutable op_idx : int;
-    mutable txn : Model.Txn.t; (* current attempt's identity *)
-    mutable priority : int; (* first attempt's sequence number, stable *)
-    mutable attempts : int;
-    mutable done_ : bool;
-  }
-
-  module Events = Map.Make (struct
-    type t = int * int (* virtual time, insertion sequence *)
-
-    let compare = compare
-  end)
-
-  let run ?(config = default_config) ?(prefill = []) ~conflict scripts =
-    let machine = ref (C.create ~conflict) in
-    let txn_ids = ref 0 in
-    let ts = ref 0 in
-    let fresh_txn () =
-      incr txn_ids;
-      Model.Txn.make !txn_ids
-    in
-    (* commit the prefill as one instantaneous transaction *)
-    if prefill <> [] then begin
-      let q = fresh_txn () in
+  let run ?(prefill = []) ~conflict scripts =
+    let mgr = Manager.create () in
+    let obj = O.create ~conflict () in
+    if prefill <> [] then
+      Manager.run mgr (fun txn ->
+          List.iter
+            (fun i ->
+              match O.try_invoke obj txn i with
+              | Ok _ -> ()
+              | Error _ -> failwith "Det_sim: prefill operation refused")
+            prefill);
+    let m0 = Manager.stats mgr and o0 = O.stats obj and s0 = Sched.stats () in
+    let now = ref 0 and progress = ref 0 and makespan = ref 0 and max_restarts = ref 0 in
+    let worker script () =
       List.iter
-        (fun i ->
-          match C.invoke_and_choose !machine q i with
-          | Ok (_, m) -> machine := m
-          | Error _ -> failwith "Det_sim: prefill operation refused")
-        prefill;
-      incr ts;
-      match C.step !machine (H.Commit (q, !ts)) with
-      | Ok m -> machine := m
-      | Error _ -> assert false
-    end;
-    (* priorities of live transactions, for wait-die *)
-    let priorities : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    let workers =
-      Array.map
-        (fun script ->
-          let txn = fresh_txn () in
-          let w =
-            {
-              script = Array.of_list script;
-              txn_idx = 0;
-              op_idx = 0;
-              txn;
-              priority = Model.Txn.id txn;
-              attempts = 1;
-              done_ = Array.of_list script |> Array.length = 0;
-            }
-          in
-          if not w.done_ then Hashtbl.replace priorities (Model.Txn.id txn) w.priority;
-          w)
-        scripts
+        (fun ops ->
+          let attempts = ref 0 in
+          Manager.run mgr (fun txn ->
+              incr attempts;
+              List.iter
+                (fun i ->
+                  ignore (O.invoke obj txn i : A.res);
+                  Effect.perform Think)
+                ops);
+          max_restarts := max !max_restarts (!attempts - 1);
+          progress := !now;
+          makespan := !now)
+        script
     in
-    let events = ref Events.empty in
-    let event_seq = ref 0 in
-    let schedule time wid =
-      incr event_seq;
-      events := Events.add (time, !event_seq) wid !events
-    in
-    Array.iteri (fun wid w -> if not w.done_ then schedule 0 wid) workers;
-    let committed = ref 0 in
-    let restarts = ref 0 in
-    let conflicts = ref 0 in
-    let blocked = ref 0 in
-    let makespan = ref 0 in
-    let busy = ref 0 in
-    let last_progress = ref 0 in
-    let apply event =
-      match C.step !machine event with
-      | Ok m -> machine := m
-      | Error _ -> assert false
-    in
-    (* process one event: worker [wid] attempts its current step at [t] *)
-    let step_worker t wid =
-      let w = workers.(wid) in
-      if not w.done_ then begin
-        let ops = w.script.(w.txn_idx) in
-        if w.op_idx >= List.length ops then begin
-          (* commit the transaction *)
-          incr ts;
-          apply (H.Commit (w.txn, !ts));
-          Hashtbl.remove priorities (Model.Txn.id w.txn);
-          incr committed;
-          busy := !busy + (config.think * List.length ops);
-          makespan := max !makespan t;
-          last_progress := t;
-          w.txn_idx <- w.txn_idx + 1;
-          w.op_idx <- 0;
-          w.attempts <- 1;
-          if w.txn_idx >= Array.length w.script then w.done_ <- true
-          else begin
-            let txn = fresh_txn () in
-            w.txn <- txn;
-            w.priority <- Model.Txn.id txn;
-            Hashtbl.replace priorities (Model.Txn.id txn) w.priority;
-            schedule t wid
-          end
-        end
-        else begin
-          let inv = List.nth ops w.op_idx in
-          match C.invoke_and_choose !machine w.txn inv with
-          | Ok (_, m) ->
-            machine := m;
-            last_progress := t;
-            w.op_idx <- w.op_idx + 1;
-            schedule (t + config.think) wid
-          | Error (`Blocked, m) ->
-            machine := m;
-            incr blocked;
-            schedule (t + config.retry_quantum) wid
-          | Error (`Conflict holder, m) -> (
-            machine := m;
-            incr conflicts;
-            let holder_priority =
-              Option.bind holder (fun ci ->
-                  Hashtbl.find_opt priorities (Model.Txn.id ci.C.c_holder))
-            in
-            match holder_priority with
-            | Some hp when w.priority > hp ->
-              (* wait-die: the younger transaction dies *)
-              apply (H.Abort w.txn);
-              Hashtbl.remove priorities (Model.Txn.id w.txn);
-              incr restarts;
-              w.attempts <- w.attempts + 1;
-              if w.attempts > config.max_attempts then
-                failwith "Det_sim: transaction exceeded max_attempts";
-              w.op_idx <- 0;
-              let txn = fresh_txn () in
-              w.txn <- txn;
-              Hashtbl.replace priorities (Model.Txn.id txn) w.priority;
-              schedule (t + config.restart_delay) wid
-            | Some _ | None -> schedule (t + config.retry_quantum) wid)
-        end
-      end
-    in
-    let rec loop () =
-      match Events.min_binding_opt !events with
-      | None -> ()
-      | Some (((t, _) as key), wid) ->
-        events := Events.remove key !events;
-        if t - !last_progress > 1_000_000 then
-          failwith "Det_sim: no progress (blocked workload?)";
-        step_worker t wid;
-        loop ()
-    in
-    loop ();
+    Sched.simulate (fun () -> schedule ~now ~progress (Array.map worker scripts));
+    let m = Manager.stats mgr and o = O.stats obj in
+    let ops = Array.fold_left (List.fold_left (fun n t -> n + List.length t)) 0 scripts in
     {
-      committed = !committed;
-      restarts = !restarts;
-      conflicts = !conflicts;
-      blocked = !blocked;
+      committed = m.committed - m0.committed;
+      restarts = m.aborted - m0.aborted;
+      max_restarts = !max_restarts;
+      conflicts = o.conflicts - o0.conflicts;
+      blocked = o.blocked - o0.blocked;
+      timeouts = (Sched.stats ()).timeouts - s0.timeouts;
       makespan = !makespan;
-      busy = !busy;
+      busy = think * ops;
     }
 end

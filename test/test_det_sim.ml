@@ -86,6 +86,21 @@ let test_account_correctness_under_sim () =
   check_int "all committed" 30 r.DA.committed;
   check_bool "no conflicts between credits" true (r.DA.conflicts = 0)
 
+(* The blocked wait, deterministically: the consumer's Deq finds the
+   queue empty and parks; the producer's transaction commits at virtual
+   time T = 300, and its release wakes the consumer at once, so the
+   consumer's transaction commits at T plus its think time — the
+   1 ms backstop never fires. *)
+let test_blocked_wake () =
+  let s0 = Runtime.Sched.stats () in
+  let r = DQ.run ~conflict:Q.conflict_hybrid [| [ [ Q.Deq ] ]; [ [ Q.Enq 1; Q.Enq 2; Q.Enq 3 ] ] |] in
+  let s1 = Runtime.Sched.stats () in
+  check_int "both committed" 2 r.DQ.committed;
+  check_bool "the consumer was blocked" true (r.DQ.blocked > 0);
+  check_int "the consumer commits at T + think" (300 + 100) r.DQ.makespan;
+  check_int "no backstop timeout" 0 (s1.Runtime.Sched.timeouts - s0.Runtime.Sched.timeouts);
+  check_int "result counts none either" 0 r.DQ.timeouts
+
 (* ---------------- the paper's claims as exact assertions ------------- *)
 
 let test_det_queue_enq_claims () =
@@ -137,6 +152,21 @@ let test_det_semiqueue_claims () =
       && semi.Sim.Det_experiments.makespan < q43.Sim.Det_experiments.makespan)
   | _ -> Alcotest.fail "three rows expected"
 
+(* DESIGN §10: a transaction dies at most once per older transaction
+   live when it began, so with [workers] workers at most [workers - 1]
+   times. *)
+let test_death_bound () =
+  let bound = Sim.Det_experiments.workers - 1 in
+  List.iter
+    (fun (t : Sim.Det_experiments.table) ->
+      List.iter
+        (fun (r : Sim.Det_experiments.row) ->
+          check_bool
+            (Printf.sprintf "%s / %s: %d restarts <= %d" t.id r.label r.max_restarts bound)
+            true (r.max_restarts <= bound))
+        t.rows)
+    (Sim.Det_experiments.all ())
+
 let test_det_reproducibility () =
   let t1 = Sim.Det_experiments.all () in
   let t2 = Sim.Det_experiments.all () in
@@ -156,6 +186,7 @@ let () =
           Alcotest.test_case "wait-die resolves deadlock" `Quick test_wait_die_in_sim;
           Alcotest.test_case "account correctness" `Quick
             test_account_correctness_under_sim;
+          Alcotest.test_case "blocked consumer woken by a commit" `Quick test_blocked_wake;
         ] );
       ( "paper-claims",
         [
@@ -164,6 +195,7 @@ let () =
             test_det_queue_mixed_claims;
           Alcotest.test_case "account" `Quick test_det_account_claims;
           Alcotest.test_case "semiqueue" `Quick test_det_semiqueue_claims;
+          Alcotest.test_case "deaths per transaction bounded" `Quick test_death_bound;
           Alcotest.test_case "exact reproducibility" `Quick test_det_reproducibility;
         ] );
     ]

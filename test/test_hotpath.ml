@@ -71,7 +71,7 @@ let test_wait_die_survives_recycled_holder_id () =
      because the real holder is gone. *)
   let first = ref true in
   let r =
-    Runtime.Retry.run ~name:"recycled-holder" ~self:requester (fun () ->
+    Runtime.Retry.run ~obj:(QObj.key q) ~name:"recycled-holder" ~self:requester (fun () ->
         if !first then begin
           first := false;
           Error (`Conflict (Some captured))
@@ -88,7 +88,8 @@ let test_wait_die_still_dies_on_older_holder () =
   let self = Runtime.Txn_rt.fresh ~priority:50 () in
   let stale = { Runtime.Retry.holder = 424242; holder_priority = Some 10 } in
   (match
-     Runtime.Retry.run ~name:"older-holder" ~self (fun () ->
+     Runtime.Retry.run ~obj:(Runtime.Txn_rt.fresh_object_key ()) ~name:"older-holder" ~self
+       (fun () ->
          (Error (`Conflict (Some stale)) : (unit, Runtime.Retry.failure) result))
    with
   | () -> Alcotest.fail "should have died"
