@@ -11,7 +11,7 @@ type run = {
 let ok r = r.c_failures = [] && Result.is_ok r.c_final
 
 let pp_run ppf r =
-  Format.fprintf ppf "== CRASH-%s ==@." (String.uppercase_ascii r.c_id);
+  Format.fprintf ppf "== CRASH %s ==@." r.c_id;
   Format.fprintf ppf
     "   %d committed txns, %d log records (%d live), %d kill points@." r.c_committed
     r.c_records r.c_live r.c_kill_points;
@@ -23,27 +23,32 @@ let pp_run ppf r =
   | fs ->
     List.iter (fun (kp, e) -> Format.fprintf ppf "   FAIL at %s: %s@." kp e) fs
 
-module Make (D : Wal.Codec.DURABLE) = struct
-  module O = Runtime.Atomic_obj.Make (D)
-  module R = Wal.Recover.Make (D)
+let limit = 400
 
-  (* Run [body] durably, then re-derive the object from every
-     deterministic crash image of the finished log: recovery through the
-     checkpoint must match the reference replay of that image's
-     committed prefix (observational equivalence).  fsync is off — the
-     crash images are cut from the finished file, so durability across
-     power loss is not what is under test — and the rewrite threshold is
-     effectively infinite so the full record history survives for the
-     reference replay.  [workload] seeds the object through the manager
-     and returns the transaction body. *)
-  let run ?(group_commit = true) ~id ~dir ~scale ~limit ~conflict ~workload () =
-    let path = Filename.concat dir (id ^ ".wal") in
-    let w = Wal.Log.create ~fsync:false ~group_commit ~compact_threshold:max_int path in
-    let mgr = Runtime.Manager.create ~wal:w () in
-    let o = O.create ~wal:(w, D.codec) ~conflict () in
-    let result = Driver.run scale ~mgr (workload o mgr) in
-    let live = Wal.Log.live w in
-    Wal.Log.close w;
+(* Run the first row of [w] durably, then re-derive the object from
+   every deterministic crash image of the finished log: recovery through
+   the checkpoint must match the reference replay of that image's
+   committed prefix (observational equivalence).  fsync is off — the
+   crash images are cut from the finished file, so durability across
+   power loss is not what is under test — and the rewrite threshold is
+   effectively infinite so the full record history survives for the
+   reference replay. *)
+let run ?(scale = Driver.quick_scale) ?(seed = 0) ?(group_commit = true) ~dir
+    (w : Workload.t) =
+  match w.rows with
+  | Workload.Row { target = Workload.Whole (adt, conflict); script; _ } :: _ ->
+    let module D = (val adt) in
+    let module O = Runtime.Atomic_obj.Make (D) in
+    let module R = Wal.Recover.Make (D) in
+    let path = Filename.concat dir (String.lowercase_ascii w.id ^ ".wal") in
+    let log = Wal.Log.create ~fsync:false ~group_commit ~compact_threshold:max_int path in
+    let mgr = Runtime.Manager.create ~wal:log () in
+    let o = O.create ~wal:(log, D.codec) ~conflict () in
+    let result =
+      Workload.drive scale ~seed ~mgr (fun txn i -> ignore (O.invoke o txn i)) script
+    in
+    let live = Wal.Log.live log in
+    Wal.Log.close log;
     let live_states = O.committed_states o in
     let raw = Wal.Log.read_file path in
     let records, _tail = Wal.Log.parse raw in
@@ -78,59 +83,17 @@ module Make (D : Wal.Codec.DURABLE) = struct
         kps
     in
     {
-      c_id = id;
-      c_committed = result.Driver.committed;
+      c_id = w.id;
+      c_committed = result.committed;
       c_records = List.length records;
       c_live = live;
       c_kill_points = List.length kps;
       c_failures = failures;
       c_final = final;
     }
-end
-
-module Q = Make (Adt.Fifo_queue)
-module S = Make (Adt.Semiqueue)
-module A = Make (Adt.Account)
-
-let default_limit = 400
-
-let queue ?(scale = Driver.quick_scale) ?(seed = 0) ?group_commit ~dir () =
-  Q.run ?group_commit ~id:"queue" ~dir ~scale ~limit:default_limit
-    ~conflict:Adt.Fifo_queue.conflict_hybrid
-    ~workload:(fun q ->
-      Driver.producer_consumer scale ~seed ~ops:3
-        ~produce:(fun txn v -> ignore (Q.O.invoke q txn (Adt.Fifo_queue.Enq v)))
-        ~consume:(fun txn -> ignore (Q.O.invoke q txn Adt.Fifo_queue.Deq)))
-    ()
-
-let semiqueue ?(scale = Driver.quick_scale) ?(seed = 0) ?group_commit ~dir () =
-  S.run ?group_commit ~id:"semiqueue" ~dir ~scale ~limit:default_limit
-    ~conflict:Adt.Semiqueue.conflict_hybrid
-    ~workload:(fun sq ->
-      Driver.producer_consumer scale ~seed ~ops:3
-        ~produce:(fun txn v -> ignore (S.O.invoke sq txn (Adt.Semiqueue.Ins v)))
-        ~consume:(fun txn -> ignore (S.O.invoke sq txn Adt.Semiqueue.Rem)))
-    ()
-
-let account ?(scale = Driver.quick_scale) ?(seed = 0) ?group_commit ~dir () =
-  A.run ?group_commit ~id:"account" ~dir ~scale ~limit:default_limit
-    ~conflict:Adt.Account.conflict_hybrid
-    ~workload:(fun acc mgr ->
-      Runtime.Manager.run mgr (fun txn ->
-          ignore (A.O.invoke acc txn (Adt.Account.Credit 1_000_000)));
-      fun ~domain ~seq txn ->
-        for k = 0 to 2 do
-          let amount = 1 + (Driver.pseudo ~seed domain seq k mod 9) in
-          (if (domain + seq) mod 2 = 0 then
-             ignore (A.O.invoke acc txn (Adt.Account.Credit amount))
-           else ignore (A.O.invoke acc txn (Adt.Account.Debit amount)));
-          Driver.think scale.think_us
-        done)
-    ()
+  | _ -> invalid_arg "Crash_exp.run: the first row must be a whole object"
 
 let all ?scale ?seed ?group_commit ~dir () =
-  [
-    queue ?scale ?seed ?group_commit ~dir ();
-    semiqueue ?scale ?seed ?group_commit ~dir ();
-    account ?scale ?seed ?group_commit ~dir ();
-  ]
+  List.map
+    (run ?scale ?seed ?group_commit ~dir)
+    [ Workload.queue_mixed; Workload.semiqueue; Workload.account ]

@@ -11,7 +11,7 @@
     recover exactly the state set the live object ended with. *)
 
 type run = {
-  c_id : string;
+  c_id : string;  (** the workload's {!Workload.t} [id] *)
   c_committed : int;  (** transactions committed in the live run *)
   c_records : int;  (** records in the clean log image *)
   c_live : int;  (** live-set size at close (the truncation bound) *)
@@ -24,22 +24,20 @@ type run = {
 val ok : run -> bool
 val pp_run : Format.formatter -> run -> unit
 
-val queue :
-  ?scale:Driver.scale -> ?seed:int -> ?group_commit:bool -> dir:string -> unit -> run
-(** Producer/consumer FIFO queue under the hybrid relation.
-    [group_commit] (default [true]) selects the log's sync mode
-    ({!Wal.Log.create}): both modes must recover identically at every
-    kill point, since batching changes {e when} records reach disk but
-    never their order. *)
-
-val semiqueue :
-  ?scale:Driver.scale -> ?seed:int -> ?group_commit:bool -> dir:string -> unit -> run
-(** Producer/consumer SemiQueue — nondeterministic [Rem] makes the
-    recovered value a state {e set}, exercising set-equivalence. *)
-
-val account :
-  ?scale:Driver.scale -> ?seed:int -> ?group_commit:bool -> dir:string -> unit -> run
-(** Credit/debit mix on one account. *)
+val run :
+  ?scale:Driver.scale ->
+  ?seed:int ->
+  ?group_commit:bool ->
+  dir:string ->
+  Workload.t ->
+  run
+(** [run ~dir w] runs the first row of [w] (the paper's relation;
+    [Invalid_argument] unless a whole object) at [scale] (default
+    {!Driver.quick_scale}) against the log [dir/<id>.wal] ([<id>] is
+    [w.id] in lower case), then recovers every kill point of it.  [group_commit] (default [true]) selects the
+    log's sync mode ({!Wal.Log.create}): both modes must recover
+    identically at every kill point, since batching changes {e when}
+    records reach disk but never their order. *)
 
 val all :
   ?scale:Driver.scale ->
@@ -48,4 +46,8 @@ val all :
   dir:string ->
   unit ->
   run list
-(** All three, writing logs under [dir]. *)
+(** {!run} on {!Workload.queue_mixed} (the producer/consumer FIFO
+    queue), {!Workload.semiqueue} (the same load on a SemiQueue —
+    nondeterministic [Rem] makes the recovered value a state {e set},
+    exercising set-equivalence) and {!Workload.account}, each under the
+    hybrid relation. *)

@@ -1,9 +1,9 @@
-(** Deterministic (virtual-time) versions of the concurrency
-    experiments.
+(** Deterministic (virtual-time) runs of the concurrency experiments.
 
-    Same workloads and conflict relations as {!Experiments}, run under
-    {!Det_sim}: the numbers are exactly reproducible — a pure function
-    of the scripts — so the paper's "who waits on whom" claims become
+    The {!Workload} definitions {!Experiments} runs on real domains, run
+    under {!Det_sim} at a fixed {!workers} workers x 25 transactions: the
+    numbers are exactly reproducible — a pure function of the scripts
+    and the seed — so the paper's "who waits on whom" claims become
     assertable equalities rather than noisy wall-clock trends.  The
     [makespan] column is the virtual completion time (smaller = more
     admitted concurrency); [concurrency] is busy-time / makespan
@@ -27,11 +27,14 @@ val pp_table : Format.formatter -> table -> unit
 
 val workers : int
 
-val det_queue_enq : unit -> table
-val det_queue_mixed : unit -> table
-val det_account : unit -> table
-val det_semiqueue : unit -> table
-val by_id : (string * (unit -> table)) list
-(** Every table above by its command-line id, in run order. *)
+val run : seed:int -> Workload.t -> table
+(** Simulate every relation row of an experiment, each on a fresh
+    manager and object, passing [seed] to the scripts; seed 0 prints the
+    tables of [test/experiments_deterministic.expected].  Raises
+    [Invalid_argument] on a {!Workload.Cells} row. *)
+
+val by_id : seed:int -> (string * (unit -> table)) list
+(** {!Workload.paper}, each a {!run}, by command-line id in run order. *)
 
 val all : unit -> table list
+(** {!Workload.paper}, each a {!run} at seed 0. *)

@@ -10,8 +10,9 @@
     where a fiber yields to another ({!Runtime.Sched.simulate}): the
     handler resumes it once a release signals its ticket, or at its
     virtual deadline ([Retry]'s 1 ms backstop is 1000 units).  Signalled
-    parks resume in park order, timers in deadline order with ties in
-    suspension order, so every result — and every count read from the
+    parks resume in the order {!Runtime.Sched.notify} delivered their
+    wake-ups (newest registration first: reverse park order), timers in
+    deadline order with ties in suspension order, so every result — and every count read from the
     runtime's own statistics — is a pure function of the scripts:
     exactly reproducible and comparable across machines.
 

@@ -34,15 +34,17 @@ let loop scale step =
   (results, Unix.gettimeofday () -. t0)
 
 let run scale ~mgr body =
+  let s0 = Runtime.Manager.stats mgr in
   let _, wall =
     loop scale (fun ~domain ~seq -> Runtime.Manager.run mgr (body ~domain ~seq))
   in
-  let stats = Runtime.Manager.stats mgr in
+  let s = Runtime.Manager.stats mgr in
+  let committed = s.committed - s0.committed in
   {
-    committed = stats.Runtime.Manager.committed;
-    attempts = stats.Runtime.Manager.started;
+    committed;
+    attempts = s.started - s0.started;
     wall_seconds = wall;
-    throughput = float_of_int stats.Runtime.Manager.committed /. wall;
+    throughput = float_of_int committed /. wall;
   }
 
 type workers = { stop_flag : bool Atomic.t; mutable spawned : unit Domain.t list }
@@ -63,29 +65,6 @@ let stop w =
     List.iter Domain.join w.spawned;
     w.spawned <- []
   end
-
-(* Commit [f txn k] for [k = 0 .. n - 1], 50 per transaction, so the
-   horizon can fold each batch into the version as seeding goes. *)
-let seed_with mgr ~n f =
-  let remaining = ref n in
-  while !remaining > 0 do
-    let batch = min 50 !remaining in
-    Runtime.Manager.run mgr (fun txn ->
-        for k = 0 to batch - 1 do
-          f txn (n - !remaining + k)
-        done);
-    remaining := !remaining - batch
-  done
-
-let producer_consumer (scale : scale) ~seed ~ops ~produce ~consume mgr =
-  let consumers = scale.domains / 2 in
-  seed_with mgr ~n:(consumers * scale.txns * ops) (fun txn k -> produce txn (1 + (k mod 2)));
-  fun ~domain ~seq txn ->
-    for k = 0 to ops - 1 do
-      if domain >= consumers then produce txn (1 + (pseudo ~seed domain seq k mod 2))
-      else consume txn;
-      think scale.think_us
-    done
 
 let ensure_dir dir =
   try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()

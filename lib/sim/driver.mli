@@ -1,5 +1,6 @@
 (** Concurrent workload driver: the run size, the domain runners and
-    the workload pieces every experiment shares.
+    the workload value hash every experiment draws from ({!Workload}
+    defines the experiments themselves).
 
     {!loop} spawns [domains] OCaml domains; each runs [txns] steps back
     to back.  A step is not wrapped in a transaction — coordinator
@@ -46,8 +47,9 @@ val run :
   mgr:Runtime.Manager.t ->
   (domain:int -> seq:int -> Runtime.Txn_rt.t -> unit) ->
   result
-(** {!loop} with each step one [mgr] transaction; measured from [mgr]'s
-    counters. *)
+(** {!loop} with each step one [mgr] transaction; measured from what
+    [mgr]'s counters gain over the run, so transactions committed before
+    it (a prefill) do not count. *)
 
 type workers
 
@@ -57,24 +59,6 @@ val start : domains:int -> (domain:int -> seq:int -> unit) -> workers
 
 val stop : workers -> unit
 (** Signal the workers and join their domains.  Idempotent. *)
-
-val producer_consumer :
-  scale ->
-  seed:int ->
-  ops:int ->
-  produce:(Runtime.Txn_rt.t -> int -> unit) ->
-  consume:(Runtime.Txn_rt.t -> unit) ->
-  Runtime.Manager.t ->
-  domain:int ->
-  seq:int ->
-  Runtime.Txn_rt.t ->
-  unit
-(** The producer/consumer workload over one container.  The first
-    [domains / 2] domains consume, the rest produce [1 + pseudo mod 2];
-    each transaction runs [ops] operations with a {!think} after each.
-    Applied to a manager, it first seeds the container through it with
-    one item per consume the run will make, so no consume finds it
-    empty, then returns the body. *)
 
 val ensure_dir : string -> unit
 (** [mkdir dir], tolerating an existing one. *)

@@ -1,4 +1,5 @@
-(** The measured experiments (EXP-* in DESIGN.md / EXPERIMENTS.md).
+(** The wall-clock runner of the measured experiments (EXP-* in
+    DESIGN.md / EXPERIMENTS.md; each is defined once in {!Workload}).
 
     The paper proves which interleavings each conflict relation admits
     but reports no measurements; these experiments quantify the claims on
@@ -79,49 +80,20 @@ val windows : table list -> Obs.Trace.entry list
     monotonic across rows, object keys and transaction ids are
     process-unique, so the result is directly exportable). *)
 
-(** Every experiment takes [?seed] (default [0], which reproduces the
-    historical workload values) to shift the deterministic operation-value
-    sequence, and [?wal] to run durably: the manager writes the
-    write-ahead commit rule against the given log and every object logs
-    intentions and checkpoints into it (see {!Wal}).  All rows of a table
-    share the log — object names are unique, so recovery keeps them
-    apart. *)
-
-val exp_queue_enq : ?scale:Driver.scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
-(** EXP-QUEUE(a): enqueue-only transactions (4 enqueues each). *)
-
-val exp_queue_mixed : ?scale:Driver.scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
-(** EXP-QUEUE(b): half the domains enqueue, half dequeue, over a seeded
-    queue. *)
-
-val exp_account : ?scale:Driver.scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
-(** EXP-ACCOUNT: credit / post / debit transaction mix on one account,
-    seeded with a large balance. *)
-
-val exp_semiqueue : ?scale:Driver.scale -> ?seed:int -> ?wal:Wal.Log.t -> unit -> table
-(** EXP-SEMIQ: the producer/consumer workload on a SemiQueue vs. a FIFO
-    queue. *)
-
-val exp_directory :
-  ?scale:Driver.scale ->
-  ?seed:int ->
-  ?key_skew:float ->
-  ?keys:int ->
-  ?cells:int ->
-  ?wal:Wal.Log.t ->
-  unit ->
-  table
-(** EXP-DIRECTORY: the same Zipf([key_skew])-keyed insert/remove/member
-    mix (default uniform over [keys = 64]) through three lock
-    granularities on a Directory — a whole-object machine that is blind
-    to keys ({!Adt.Directory.conflict_whole_object}), a whole-object
-    machine with the key-aware relation, and a {!Part.Pdir} machine of
-    [cells] independently locked cells.  The analytic [conflict_prob]
-    of the key-aware rows is the blind probability scaled by the Zipf
-    collision factor Σp² ({!Conflict_profile.Keys.collision}). *)
+val run : ?scale:Driver.scale -> ?seed:int -> ?wal:Wal.Log.t -> Workload.t -> table
+(** Run every relation row of an experiment on [scale]'s domains (default
+    {!Driver.default_scale}), one fresh manager and object per row: the
+    row's prefill as one transaction, then its script.  [seed] (default
+    [0]) is passed to the script, shifting its operation values
+    reproducibly; at 4 domains x 25 transactions a row runs the
+    transactions {!Det_experiments} simulates.  [wal] runs durably: the
+    manager writes the write-ahead commit rule against the given log and
+    every object logs intentions and checkpoints into it (see {!Wal}).
+    All rows of a table share the log — object names are unique, so
+    recovery keeps them apart. *)
 
 val partition_gate : ?factor:int -> table -> (int * int, string) result
-(** The CI assertion on an {!exp_directory} table run with observability
+(** The CI assertion on a {!Workload.directory} table run with observability
     on: the cell-blind row's fired-conflict mass must be positive and at
     least [factor] (default [5]) times the cell-locked row's.  [Ok
     (blind, celled)] carries both masses; [Error] explains which side
@@ -135,5 +107,6 @@ val by_id :
   ?wal:Wal.Log.t ->
   unit ->
   (string * (unit -> table)) list
-(** Every experiment above by its command-line id, in run order:
-    [queue], [queue-mixed], [account], [semiqueue], [directory]. *)
+(** {!Workload.paper} and {!Workload.directory} by their command-line
+    ids, each a {!run}, in run order: [queue], [queue-mixed], [account],
+    [semiqueue], [directory]. *)

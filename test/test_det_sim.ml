@@ -104,7 +104,7 @@ let test_blocked_wake () =
 (* ---------------- the paper's claims as exact assertions ------------- *)
 
 let test_det_queue_enq_claims () =
-  let t = Sim.Det_experiments.det_queue_enq () in
+  let t = Sim.Det_experiments.run ~seed:0 Sim.Workload.queue_enq in
   match t.Sim.Det_experiments.rows with
   | [ hybrid; fig43; rw ] ->
     check_int "hybrid zero conflicts" 0 hybrid.Sim.Det_experiments.conflicts;
@@ -118,7 +118,7 @@ let test_det_queue_enq_claims () =
   | _ -> Alcotest.fail "three rows expected"
 
 let test_det_queue_mixed_claims () =
-  let t = Sim.Det_experiments.det_queue_mixed () in
+  let t = Sim.Det_experiments.run ~seed:0 Sim.Workload.queue_mixed in
   match t.Sim.Det_experiments.rows with
   | [ hybrid42; fig43; rw ] ->
     (* incomparability: the mixed workload reverses the enq-only order *)
@@ -129,7 +129,7 @@ let test_det_queue_mixed_claims () =
   | _ -> Alcotest.fail "three rows expected"
 
 let test_det_account_claims () =
-  let t = Sim.Det_experiments.det_account () in
+  let t = Sim.Det_experiments.run ~seed:0 Sim.Workload.account in
   match t.Sim.Det_experiments.rows with
   | [ hybrid; commut; rw ] ->
     check_bool "hybrid beats commutativity" true
@@ -141,7 +141,7 @@ let test_det_account_claims () =
   | _ -> Alcotest.fail "three rows expected"
 
 let test_det_semiqueue_claims () =
-  let t = Sim.Det_experiments.det_semiqueue () in
+  let t = Sim.Det_experiments.run ~seed:0 Sim.Workload.semiqueue in
   match t.Sim.Det_experiments.rows with
   | [ semi; q42; q43 ] ->
     check_int "semiqueue zero conflicts" 0 semi.Sim.Det_experiments.conflicts;

@@ -110,7 +110,7 @@ let find_row t label =
     t.Sim.Experiments.rows
 
 let test_exp_queue_enq_shape () =
-  let t = Sim.Experiments.exp_queue_enq ~scale:quick () in
+  let t = Sim.Experiments.run ~scale:quick Sim.Workload.queue_enq in
   Alcotest.(check int) "three rows" 3 (List.length t.Sim.Experiments.rows);
   let hybrid = find_row t "hybrid" in
   (* the paper's claim: enqueues never conflict under fig 4-2 *)
@@ -125,7 +125,7 @@ let test_exp_queue_enq_shape () =
     t.Sim.Experiments.rows
 
 let test_exp_account_shape () =
-  let t = Sim.Experiments.exp_account ~scale:quick () in
+  let t = Sim.Experiments.run ~scale:quick Sim.Workload.account in
   let hybrid = find_row t "hybrid" in
   let commut = find_row t "commutativity" in
   let rw = find_row t "read/write" in
@@ -134,16 +134,42 @@ let test_exp_account_shape () =
     && commut.Sim.Experiments.conflict_prob < rw.Sim.Experiments.conflict_prob)
 
 let test_exp_semiqueue_shape () =
-  let t = Sim.Experiments.exp_semiqueue ~scale:quick () in
+  let t = Sim.Experiments.run ~scale:quick Sim.Workload.semiqueue in
   let semi = find_row t "SemiQueue" in
   Alcotest.(check int) "semiqueue conflicts 0" 0 semi.Sim.Experiments.op_conflicts
+
+(* Each integer [Post p] multiplies the balance by [1 + p], so EXP-ACCOUNT
+   must bound its Posts at every scale: even with every credit landing
+   before the first Post, the opening balance plus all credits, times
+   every Post's factor, stays a native int at 16 workers x 10,000 txns. *)
+let test_account_posts_bounded () =
+  let s = Sim.Workload.account_script and workers = 16 and txns = 10_000 in
+  let credits = ref 0 and posts = ref [] in
+  let add = function
+    | Adt.Account.Credit n -> credits := !credits + n
+    | Adt.Account.Post p -> posts := p :: !posts
+    | Adt.Account.Debit _ -> ()
+  in
+  List.iter add (s.prefill ~workers ~txns);
+  for worker = 0 to workers - 1 do
+    for k = 0 to txns - 1 do
+      List.iter add (s.txn ~seed:0 ~workers ~worker k)
+    done
+  done;
+  Alcotest.(check int) "posts" 9 (List.length !posts);
+  let bound =
+    List.fold_left
+      (fun b p -> if b > max_int / (1 + p) then max_int else b * (1 + p))
+      !credits !posts
+  in
+  check_bool (Printf.sprintf "balance bound %d < max_int" bound) true (bound < max_int)
 
 (* A run that overflows the 65,536-entry trace ring has lost its oldest
    invocations: its verdict must say so rather than replay the holes,
    and it must still count as a violation. *)
 let test_wrapped_window_not_replayed () =
   let scale = { Sim.Driver.domains = 1; txns = 6000; think_us = 0. } in
-  let t = Sim.Experiments.exp_directory ~scale () in
+  let t = Sim.Experiments.run ~scale (Sim.Workload.directory ()) in
   let r = List.hd t.Sim.Experiments.rows in
   (match r.Sim.Experiments.atomic with
   | Some (Error e) ->
@@ -173,6 +199,8 @@ let () =
           Alcotest.test_case "runs all transactions" `Quick test_driver_runs_all_txns;
           Alcotest.test_case "passes indices" `Quick test_driver_passes_indices;
         ] );
+      ( "workloads",
+        [ Alcotest.test_case "account posts bounded" `Quick test_account_posts_bounded ] );
       ( "experiments",
         [
           Alcotest.test_case "queue-enq shape" `Slow test_exp_queue_enq_shape;

@@ -469,7 +469,7 @@ let test_concurrent_recovery_matches_live () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
-      let r = Sim.Crash_exp.queue ~scale:Sim.Driver.quick_scale ~dir () in
+      let r = Sim.Crash_exp.run ~scale:Sim.Driver.quick_scale ~dir Sim.Workload.queue_mixed in
       (match r.Sim.Crash_exp.c_final with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("clean recovery vs live object: " ^ e));
